@@ -7,7 +7,7 @@ instead.  Exit codes: 0 ok, 1 invariant violation, 2 usage error,
 3 budget exceeded.
 
 Flags can be preset through environment variables with the KEMPETORUS_
-prefix (e.g. KEMPETORUS_THREADS=4, KEMPETORUS_SPILL_DIR=/tmp/spill).
+prefix (e.g. KEMPETORUS_THREADS=4, KEMPETORUS_BUDGET_MEM=2000).
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def _emit_report(args, command, payload, counters=None, seed=None):
 def _budget_states(args):
     if args.budget_mem is None:
         return None
-    # a visited packed state costs roughly 120 bytes in a Python set
+    # caps the states of one class; a packed state costs roughly 120 bytes
+    # in a Python set, but the visited set over all classes is not capped
     return max(1, int(args.budget_mem * 1e6 / 120))
 
 
@@ -94,7 +95,7 @@ def cmd_classes(args):
     tri = parse_descriptor(args.tri)
     dec = kempe_classes(tri, args.q, budget_nodes=args.budget_nodes,
                         budget_states=_budget_states(args),
-                        threads=args.threads, spill_dir=args.spill_dir)
+                        threads=args.threads)
     payload = {
         "total": dec.total,
         "num_classes": dec.num_classes,
@@ -204,8 +205,7 @@ def cmd_reduce(args):
 
 
 def cmd_verify(args):
-    records = verify_mod.run_suite(level=args.level, threads=args.threads,
-                                   spill_dir=args.spill_dir)
+    records = verify_mod.run_suite(level=args.level, threads=args.threads)
     for rec in records:
         status = "PASS" if rec["ok"] else "FAIL"
         print(f"{status} [{rec['id']}] {rec['name']} "
@@ -240,8 +240,6 @@ def make_parser() -> argparse.ArgumentParser:
                            default=_env_default("BUDGET_MEM", None, float))
             p.add_argument("--threads", type=int,
                            default=_env_default("THREADS", 1, int))
-            p.add_argument("--spill-dir",
-                           default=_env_default("SPILL_DIR"))
 
     p = sub.add_parser("build", help="construct T(r,s,t), dump tables")
     common(p, tri=True)
@@ -290,7 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--threads", type=int,
                    default=_env_default("THREADS", 1, int))
-    p.add_argument("--spill-dir", default=_env_default("SPILL_DIR"))
     p.set_defaults(func=cmd_verify)
     return ap
 

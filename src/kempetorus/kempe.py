@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .coloring import Coloring
 from .lattice import Triangulation
 
-COLOR_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
 
 @dataclass(frozen=True)
 class KempeMove:

@@ -3,9 +3,10 @@
 Enumeration is depth-first backtracking over vertices in row-major order
 with forward properness checks against already-colored neighbours.  One
 orbit representative per global color permutation is generated by pinning
-the face {(1,1),(2,1),(2,2)} to colors 1,2,3 (every orbit of a proper
-coloring contains exactly one member with that face so colored); colors
-beyond 3 must first appear in ascending order, which is vacuous for q=4.
+the up triangle at (1,1), the first face, to colors 1,2,3 (every orbit of
+a proper coloring contains exactly one member with that face so colored);
+colors beyond 3 must first appear in ascending order, which is vacuous for
+q=4.
 The signed degree is maintained incrementally as faces complete, so the
 |degree| histogram costs O(1) per leaf.
 
@@ -13,24 +14,21 @@ Class decomposition is a BFS over the Kempe graph on canonical states,
 keyed by a 2-bit-per-vertex packed encoding.  Kempe components are found
 with shift-based bitboard flood fills (the lattice is translation
 invariant, so the neighbourhood of a vertex set is six shifted copies).
-The visited set is an in-memory set by default and spills to sorted
-on-disk runs above a configurable threshold.
+Every state and the visited set are held in memory.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
+import functools
 import itertools
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .coloring import Coloring, canonicalize, three_coloring
 from .degree import degree
-from .lattice import Triangulation, build
+from .lattice import Triangulation
 
 
 class BudgetExceeded(RuntimeError):
@@ -68,6 +66,16 @@ def _prepare(tri: Triangulation):
     return back, faces_at
 
 
+def _pins(tri: Triangulation) -> dict[int, int]:
+    """Vertex -> pinned color on the first face, the up triangle at (1,1).
+
+    Its corners are (1,1), (2,1) and (2,2); on a one-row torus (2,2)
+    wraps onto the single row, so it is not vertex r + 1.
+    """
+    v, ne, e = tri.faces[0]
+    return {v: 1, e: 2, ne: 3}
+
+
 def _dfs(tri, q, colors, start, used_max, budget, sink):
     """Backtracking continuation from vertex `start`; calls sink(colors, deg).
 
@@ -76,7 +84,7 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
     """
     n = tri.n
     back, faces_at = _prepare(tri)
-    pinned = {0: 1, 1: 2, tri.r + 1: 3}
+    pinned = _pins(tri)
     sign = _SIGN
     nodes = 0
     limit = budget if budget is not None else float("inf")
@@ -121,13 +129,19 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
 
 
 def _collect_prefixes(tri, q, depth):
-    """Proper pinned assignments of vertices [0, depth) for task splitting."""
+    """Proper pinned assignments of vertices [0, depth) for task splitting.
+
+    Returns (prefixes, nodes); `nodes` counts the assignments made here,
+    so that a split search reports the same node total as an unsplit one.
+    """
     prefixes = []
+    nodes = 0
     colors = bytearray(tri.n)
     back, _ = _prepare(tri)
-    pinned = {0: 1, 1: 2, tri.r + 1: 3}
+    pinned = _pins(tri)
 
     def rec(v, used_max):
+        nonlocal nodes
         if v == depth:
             prefixes.append((bytes(colors[:depth]), used_max))
             return
@@ -136,12 +150,13 @@ def _collect_prefixes(tri, q, depth):
         for col in range(lo, hi + 1):
             if any(colors[w] == col for w in back[v]):
                 continue
+            nodes += 1
             colors[v] = col
             rec(v + 1, max(used_max, col))
         colors[v] = 0
 
     rec(0, 3)
-    return prefixes
+    return prefixes, nodes
 
 
 def _pack(colors, offset=1) -> int:
@@ -309,113 +324,88 @@ class PackedKempe:
         return out
 
 
-def _leaf_sink_factory(tri, q, collect):
-    """Returns (sink, finish) where finish() -> (total, hist, states, degs)."""
-    n = tri.n
+def _enum_task(tri, q, budget, collect, task):
+    """Enumerate below one (prefix, used_max) task.
+
+    Returns (total, |degree| histogram, nodes, states, state degrees).
+    """
+    prefix, used_max = task
+    n, nbytes = tri.n, (2 * tri.n + 7) // 8
+    colors = bytearray(n)
+    colors[:len(prefix)] = prefix
     total = 0
     hist: dict[int, int] = {}
-    states: list[int] = [] if collect else None
-    degs: dict[int, int] = {} if collect else None
-    nbytes = (2 * n + 7) // 8
+    states: list[int] = []
+    degs: dict[int, int] = {}
 
-    if q == 4:
-        def sink(colors, deg):
-            nonlocal total
-            total += 1
-            d = abs(deg)
-            hist[d] = hist.get(d, 0) + 1
-            if collect:
-                key = canonical_packed(_pack(colors), n, nbytes)
-                states.append(key)
-                degs[key] = d
-    else:
-        def sink(colors, deg):
-            nonlocal total
-            total += 1
+    def sink(colors, deg):
+        nonlocal total
+        total += 1
+        d = abs(deg)
+        hist[d] = hist.get(d, 0) + 1
+        if collect:
+            key = canonical_packed(_pack(colors), n, nbytes)
+            states.append(key)
+            degs[key] = d
 
-    def finish():
-        return total, (hist if q == 4 else None), states, degs
-
-    return sink, finish
-
-
-def _enum_task(args):
-    r, s, t, q, prefix, used_max, budget, collect = args
-    tri = build(r, s, t)
-    colors = bytearray(tri.n)
-    colors[:len(prefix)] = prefix
-    sink, finish = _leaf_sink_factory(tri, q, collect)
     nodes = _dfs(tri, q, colors, len(prefix), used_max, budget, sink)
-    total, hist, states, degs = finish()
     return total, hist, nodes, states, degs
 
 
 def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
-                        threads: int = 1, collect: bool = False,
-                        on_state=None) -> EnumerationResult:
+                        threads: int = 1, collect: bool = False
+                        ) -> EnumerationResult:
     """Count canonical proper q-colorings; histogram |degree| for q = 4.
 
-    `collect` gathers the canonical packed states (q = 4 only); results
-    are independent of `threads`.
+    `collect` gathers the canonical packed states (q = 4 only).  With
+    `threads` > 1 the search tree is split at a fixed prefix depth into
+    tasks for a process pool; one thread runs the single empty-prefix
+    task in-process.  Results, node count included, are independent of
+    `threads`.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if collect and q != 4:
         raise ValueError("state collection is implemented for q = 4")
     t0 = time.perf_counter()
-
-    if threads > 1:
-        depth = min(2 * tri.r, tri.n)
-        prefixes = _collect_prefixes(tri, q, depth)
-        args = [(tri.r, tri.s, tri.t, q, pre, um, budget_nodes, collect)
-                for pre, um in prefixes]
-        total = nodes = 0
-        hist: dict[int, int] = {}
-        states = [] if collect else None
-        degs = {} if collect else None
-        with multiprocessing.Pool(threads) as pool:
-            for ptotal, phist, pnodes, pstates, pdegs in pool.imap_unordered(
-                    _enum_task, args, chunksize=max(1, len(args) // (8 * threads))):
-                total += ptotal
-                nodes += pnodes
-                if budget_nodes is not None and nodes > budget_nodes:
-                    raise BudgetExceeded("nodes", budget_nodes)
-                if phist:
-                    for k, v in phist.items():
-                        hist[k] = hist.get(k, 0) + v
-                if collect:
-                    states.extend(pstates)
-                    degs.update(pdegs)
-        if collect:
-            states.sort()
-        if on_state is not None and collect:
-            for key in states:
-                on_state(key)
-        return EnumerationResult(total, hist if q == 4 else None, nodes,
-                                 time.perf_counter() - t0, states, degs)
-
-    colors = bytearray(tri.n)
-    sink, finish = _leaf_sink_factory(tri, q, collect)
-    if on_state is not None:
-        base_sink = sink
-        n, nbytes = tri.n, (2 * tri.n + 7) // 8
-
-        def sink(cols, deg):
-            base_sink(cols, deg)
-            on_state(canonical_packed(_pack(cols), n, nbytes))
-
-    nodes = _dfs(tri, q, colors, 0, 3, budget_nodes, sink)
-    total, hist, states, degs = finish()
+    task = functools.partial(_enum_task, tri, q, budget_nodes, collect)
+    total = 0
+    hist: dict[int, int] = {}
+    states = [] if collect else None
+    degs = {} if collect else None
+    with contextlib.ExitStack() as stack:
+        if threads > 1:
+            prefixes, nodes = _collect_prefixes(tri, q, min(2 * tri.r, tri.n))
+            pool = stack.enter_context(multiprocessing.Pool(threads))
+            parts = pool.imap_unordered(
+                task, prefixes,
+                chunksize=max(1, len(prefixes) // (8 * threads)))
+        else:
+            nodes, parts = 0, map(task, [(b"", 3)])
+        for ptotal, phist, pnodes, pstates, pdegs in parts:
+            total += ptotal
+            nodes += pnodes
+            if budget_nodes is not None and nodes > budget_nodes:
+                raise BudgetExceeded("nodes", budget_nodes)
+            for k, v in phist.items():
+                hist[k] = hist.get(k, 0) + v
+            # adopt the first part: copying its states would double the
+            # peak memory of a one-thread run
+            if collect and not states:
+                states, degs = pstates, pdegs
+            elif collect:
+                states.extend(pstates)
+                degs.update(pdegs)
     if collect:
         states.sort()
-    return EnumerationResult(total, hist, nodes, time.perf_counter() - t0,
-                             states, degs)
+    return EnumerationResult(total, hist if q == 4 else None, nodes,
+                             time.perf_counter() - t0, states, degs)
 
 
 @dataclass
 class KempeClass:
     size: int
-    residue: int                 # degree mod 12, constant on the class
+    residue: int | None  # |degree| mod 12 on 3-colorable tori, else None
     representative: Coloring
     degree_abs_counts: dict = field(default_factory=dict)
 
@@ -432,194 +422,82 @@ class ClassDecomposition:
         return len(self.classes)
 
 
-class SortedRunKeySet:
-    """Insert-only key set with sorted-run spill to disk.
+def _bfs_levels(neighbors, seed, visited, universe=None, budget_states=None):
+    """Yield the BFS levels (sets of states) of the Kempe class of `seed`.
 
-    Keys are arbitrary-width ints, stored big-endian in fixed 16-byte
-    cells so numpy 'S16' lexicographic order matches numeric order.
-    Membership filtering is a vectorised searchsorted over the runs plus
-    a bounded in-memory buffer; flushing writes one sorted, deduplicated
-    run per chunk.
+    `neighbors(state)` lists the canonical states one Kempe change away.
+    Every state yielded is added to `visited`, which callers share across
+    classes.  A state outside `universe` (the enumerated states, if given)
+    is a bug; more than `budget_states` states raise BudgetExceeded.
     """
-
-    WIDTH = 16
-
-    def __init__(self, directory, flush_items=2_000_000):
-        os.makedirs(directory, exist_ok=True)
-        self.dir = directory
-        self.flush_items = flush_items
-        self.buffer: set[bytes] = set()
-        self.runs: list[str] = []
-        self.count = 0
-
-    @staticmethod
-    def _enc(key: int) -> bytes:
-        return key.to_bytes(SortedRunKeySet.WIDTH, "big")
-
-    def _in_runs(self, arr: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(arr), dtype=bool)
-        for path in self.runs:
-            run = np.load(path, mmap_mode="r")
-            if not len(run):
-                continue
-            idx = np.searchsorted(run, arr)
-            idx[idx == len(run)] = len(run) - 1
-            mask |= np.asarray(run[idx]) == arr
-        return mask
-
-    def add_new(self, keys) -> list[int]:
-        """Insert keys not already present; returns the truly new ones."""
-        fresh = [(k, b) for k, b in ((k, self._enc(k)) for k in keys)
-                 if b not in self.buffer]
-        if not fresh:
-            return []
-        if self.runs:
-            hit = self._in_runs(np.array([b for _, b in fresh], dtype="S16"))
-        else:
-            hit = np.zeros(len(fresh), dtype=bool)
-        out = []
-        for (k, b), h in zip(fresh, hit):
-            if not h and b not in self.buffer:
-                self.buffer.add(b)
-                out.append(k)
-        self.count += len(out)
-        if len(self.buffer) >= self.flush_items:
-            self.flush()
-        return out
-
-    def __contains__(self, key: int) -> bool:
-        b = self._enc(key)
-        if b in self.buffer:
-            return True
-        if not self.runs:
-            return False
-        return bool(self._in_runs(np.array([b], dtype="S16"))[0])
-
-    def flush(self):
-        if not self.buffer:
-            return
-        arr = np.array(sorted(self.buffer), dtype="S16")
-        path = os.path.join(self.dir, f"run{len(self.runs):05d}.npy")
-        np.save(path, arr)
-        self.runs.append(path)
-        self.buffer.clear()
-
-    def iter_sorted(self):
-        """Stream all keys in ascending order (runs merged lazily)."""
-        self.flush()
-        streams = [iter(np.load(p, mmap_mode="r")) for p in self.runs]
-        for b in heapq.merge(*streams):
-            yield int.from_bytes(bytes(b), "big")
-
-    def __len__(self):
-        return self.count
-
-
-def _bfs_class_stats(engine: PackedKempe, seed: int, universe, visited,
-                     deg_of, budget_states=None):
-    """BFS one Kempe class; returns (size, |degree| histogram).
-
-    `visited` is a set or a SortedRunKeySet; membership marking is
-    level-synchronous, so memory is bounded by the widest BFS level
-    when the visited set spills.
-    """
-    in_memory = isinstance(visited, set)
-    if in_memory:
-        visited.add(seed)
-    else:
-        visited.add_new([seed])
-    frontier = [seed]
+    visited.add(seed)
+    level = {seed}
     size = 0
-    dhist: dict[int, int] = {}
-    while frontier:
-        size += len(frontier)
+    while level:
+        size += len(level)
         if budget_states is not None and size > budget_states:
             raise BudgetExceeded("states", budget_states)
-        for k in frontier:
-            d = deg_of(k)
-            dhist[d] = dhist.get(d, 0) + 1
+        yield level
         nxt = set()
-        for state in frontier:
-            nxt.update(engine.neighbor_keys(state))
-        if in_memory:
-            fresh = []
-            for k in nxt:
-                if k not in visited:
-                    if universe is not None and k not in universe:
-                        raise AssertionError(
-                            "Kempe move left the enumerated state universe: bug")
-                    visited.add(k)
-                    fresh.append(k)
-        else:
-            fresh = visited.add_new(sorted(nxt))
-        frontier = fresh
+        for state in level:
+            nxt.update(neighbors(state))
+        level = nxt - visited
+        if universe is not None and not level <= universe:
+            raise AssertionError(
+                "Kempe move left the enumerated state universe: bug")
+        visited |= level
+
+
+def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict, visited,
+                     budget_states=None):
+    """BFS one Kempe class; returns (size, |degree| histogram).
+
+    `degs` maps every enumerated state to its |degree|.
+    """
+    size = 0
+    dhist: dict[int, int] = {}
+    for level in _bfs_levels(engine.neighbor_keys, seed, visited,
+                             degs.keys(), budget_states):
+        size += len(level)
+        for k in level:
+            d = degs[k]
+            dhist[d] = dhist.get(d, 0) + 1
     return size, dhist
 
 
-def _decode_degree(tri: Triangulation, packed: int) -> int:
-    from .degree import face_degree_counts
-    colors = _unpack(packed, tri.n)
-    p, n = face_degree_counts(tri, colors)
-    return abs(p - n)
-
-
 def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
-                  budget_states=None, threads: int = 1,
-                  spill_dir=None) -> ClassDecomposition:
+                  budget_states=None, threads: int = 1) -> ClassDecomposition:
     """Partition all canonical proper q-colorings into Kempe classes.
 
-    q = 4 uses the packed bitboard engine, with every state held in
-    memory by default; `spill_dir` switches the enumerated universe and
-    the BFS visited set to sorted-run files so only one BFS level plus a
-    bounded buffer stays resident.  Other q fall back to a generic
-    canonical-bytes BFS (small instances only).
+    q = 4 uses the packed bitboard engine with every state held in
+    memory.  On 3-colorable tori each class is checked to carry a single
+    |degree| residue mod 12 (the Kempe invariant), which is reported;
+    elsewhere the invariant does not hold and the residue is None.  Other
+    q fall back to a generic canonical-bytes BFS (small instances only).
     """
     if q != 4:
         return _kempe_classes_generic(tri, q, budget_nodes, budget_states)
     engine = PackedKempe(tri)
+    enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
+                               threads=threads, collect=True)
+    three_colorable = tri.is_three_colorable()
+    visited: set[int] = set()
     classes = []
-    if spill_dir is None:
-        enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
-                                   threads=threads, collect=True)
-        keys = enum.states
-        degs = enum.state_degrees
-        universe = set(keys)
-        visited: set[int] = set()
-        seeds = keys
-        deg_of = degs.__getitem__
-        total_expected = enum.total
-    else:
-        universe = SortedRunKeySet(os.path.join(spill_dir, "universe"))
-        batch: list[int] = []
-
-        def on_state(key):
-            batch.append(key)
-            if len(batch) >= 65536:
-                universe.add_new(batch)
-                batch.clear()
-
-        enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
-                                   threads=1, on_state=on_state)
-        universe.add_new(batch)
-        universe.flush()
-        visited = SortedRunKeySet(os.path.join(spill_dir, "visited"))
-        seeds = universe.iter_sorted()
-        deg_of = lambda k: _decode_degree(tri, k)  # noqa: E731
-        total_expected = enum.total
-
-    for seed in seeds:
+    for seed in enum.states:
         if seed in visited:
             continue
-        size, dhist = _bfs_class_stats(engine, seed, universe, visited,
-                                       deg_of, budget_states)
-        residues = {d % 12 for d in dhist}
-        assert len(residues) == 1, (
-            f"Kempe class mixes degree residues {residues}: bug")
-        classes.append(KempeClass(size, residues.pop(),
-                                  engine.unpack(seed), dhist))
+        size, dhist = _bfs_class_stats(engine, seed, enum.state_degrees,
+                                       visited, budget_states)
+        residue = None
+        if three_colorable:
+            residues = {d % 12 for d in dhist}
+            assert len(residues) == 1, (
+                f"Kempe class mixes degree residues {residues}: bug")
+            residue = residues.pop()
+        classes.append(KempeClass(size, residue, engine.unpack(seed), dhist))
     classes.sort(key=lambda c: -c.size)
     total = sum(c.size for c in classes)
-    assert total == total_expected, \
+    assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
     return ClassDecomposition(tri, q, total, classes)
 
@@ -627,50 +505,36 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
 def _kempe_classes_generic(tri, q, budget_nodes, budget_states):
     from .kempe import kempe_change, kempe_components, KempeMove
 
+    # the pinned DFS emits one member of each orbit; canonical bytes name it
     states: list[bytes] = []
-    seen = set()
 
     def sink(colors, deg):
-        key = canonicalize(Coloring(tri, q, bytes(colors))).colors
-        if key not in seen:
-            seen.add(key)
-            states.append(key)
+        states.append(canonicalize(Coloring(tri, q, bytes(colors))).colors)
 
-    colors = bytearray(tri.n)
-    _dfs(tri, q, colors, 0, 3, budget_nodes, sink)
+    _dfs(tri, q, bytearray(tri.n), 0, 3, budget_nodes, sink)
     states.sort()
+
+    def neighbors(key):
+        c = Coloring(tri, q, key)
+        out = []
+        for a in range(1, q + 1):
+            for b in range(a + 1, q + 1):
+                comps = kempe_components(tri, c, a, b)
+                if len(comps) > 1:
+                    out.extend(canonicalize(
+                        kempe_change(tri, c, KempeMove(a, b, comp))).colors
+                        for comp in comps)
+        return out
+
     universe = set(states)
-    visited = set()
+    visited: set[bytes] = set()
     classes = []
     for seed in states:
         if seed in visited:
             continue
-        visited.add(seed)
-        frontier = [seed]
-        size = 0
-        while frontier:
-            size += len(frontier)
-            nxt = []
-            for key in frontier:
-                c = Coloring(tri, q, key)
-                for a in range(1, q + 1):
-                    for b in range(a + 1, q + 1):
-                        comps = kempe_components(tri, c, a, b)
-                        if len(comps) <= 1:
-                            continue
-                        for comp in comps:
-                            c2 = kempe_change(tri, c, KempeMove(a, b, comp))
-                            k2 = canonicalize(c2).colors
-                            if k2 not in visited:
-                                assert k2 in universe
-                                visited.add(k2)
-                                nxt.append(k2)
-            frontier = nxt
-            if budget_states is not None and size > budget_states:
-                raise BudgetExceeded("states", budget_states)
-        rep = Coloring(tri, q, seed)
-        residue = degree(tri, rep).mod12 if q == 4 else 0
-        classes.append(KempeClass(size, residue, rep))
+        size = sum(len(level) for level in _bfs_levels(
+            neighbors, seed, visited, universe, budget_states))
+        classes.append(KempeClass(size, 0, Coloring(tri, q, seed)))
     classes.sort(key=lambda c: -c.size)
     return ClassDecomposition(tri, q, sum(c.size for c in classes), classes)
 
@@ -694,23 +558,11 @@ def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
         target = engine.canonical(engine.pack(
             Coloring(tri, 4, three_coloring(tri).colors)))
         seed = engine.canonical(engine.pack(c))
-        visited = {seed}
-        frontier = [seed]
-        found = seed == target
+        levels = _bfs_levels(engine.neighbor_keys, seed, set(),
+                             budget_states=budget_states)
         try:
-            while frontier and not found:
-                nxt = []
-                for state in frontier:
-                    for key in engine.neighbor_keys(state):
-                        if key not in visited:
-                            visited.add(key)
-                            nxt.append(key)
-                            if key == target:
-                                found = True
-                if len(visited) > budget_states:
-                    raise BudgetExceeded("states", budget_states)
-                frontier = nxt
-            out["certified_with_three_coloring"] = found
+            out["certified_with_three_coloring"] = any(
+                target in level for level in levels)
         except BudgetExceeded:
-            out["certified_with_three_coloring"] = None
+            pass
     return out

@@ -108,6 +108,50 @@ def naive_degree(tri, coloring, target=(1, 2, 3)):
     return p - n
 
 
+def brute_force_kempe_classes(tri):
+    """Kempe classes of all labeled proper 4-colorings, by union-find.
+
+    Every two-color component of every labeled coloring is flood-filled
+    and swapped, and the two colorings are joined.  Returns one
+    {|degree|: count} histogram per class; degrees come from
+    `naive_degree`.
+    """
+    states = brute_force_colorings(tri, 4)
+    index = {c: i for i, c in enumerate(states)}
+    parent = list(range(len(states)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, c in enumerate(states):
+        for a, b in itertools.combinations((1, 2, 3, 4), 2):
+            seen = set()
+            for v in range(tri.n):
+                if c[v] not in (a, b) or v in seen:
+                    continue
+                comp = {v}
+                stack = [v]
+                while stack:
+                    u = stack.pop()
+                    for w in tri.neighbors[u]:
+                        if c[w] in (a, b) and w not in comp:
+                            comp.add(w)
+                            stack.append(w)
+                seen |= comp
+                swapped = tuple((a + b - x) if k in comp else x
+                                for k, x in enumerate(c))
+                parent[find(i)] = find(index[swapped])
+    classes = {}
+    for i, c in enumerate(states):
+        hist = classes.setdefault(find(i), {})
+        d = abs(naive_degree(tri, c))
+        hist[d] = hist.get(d, 0) + 1
+    return list(classes.values())
+
+
 def _row_states(r, q):
     states = []
     for s in itertools.product(range(1, q + 1), repeat=r):

@@ -40,9 +40,7 @@ def test_criterion_3_t33():
 
 @pytest.mark.full
 def test_criterion_4_t69_full():
-    report(verify.criterion_4(threads=THREADS,
-                              spill_dir=os.environ.get("KEMPETORUS_SPILL_DIR")),
-           "hours")
+    report(verify.criterion_4(threads=THREADS), "hours")
 
 
 def test_criterion_5_constructions():

@@ -134,3 +134,13 @@ def test_payload_reproducible(capsys):
         assert code == 0
         outs.append(json.loads(out)["payload"])
     assert outs[0] == outs[1]
+
+
+def test_classes_exit_zero_off_the_invariant(capsys):
+    # mod 12 is only a Kempe invariant on 3-colorable tori; T(8,1,2) has
+    # one row, so its pinned face wraps around that row
+    for tri in ("T(4,4,0)", "T(4,4,2)", "T(6,4,2)", "T(8,1,2)"):
+        code, out = run(capsys, "classes", "--tri", tri)
+        assert code == 0, tri
+        rep = json.loads(out)
+        assert all(c["residue"] is None for c in rep["payload"]["classes"])

@@ -5,11 +5,28 @@ import pytest
 from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
 from kempetorus.kempe import KempeMove, kempe_change, kempe_components
-from kempetorus.lattice import build
+from kempetorus.lattice import NotSimpleError, build
 from kempetorus.statespace import (BudgetExceeded, PackedKempe, class_of,
                                    enumerate_colorings, kempe_classes)
 
-from oracles import brute_force_colorings, brute_force_count, canonical_abs_census
+from oracles import (brute_force_colorings, brute_force_count,
+                     brute_force_kempe_classes, canonical_abs_census)
+
+
+def _small_tori(max_n=16):
+    """Every torus `build` accepts with at most `max_n` vertices."""
+    out = []
+    for r in range(1, max_n + 1):
+        for s in range(1, max_n // r + 1):
+            for t in range(r):
+                try:
+                    out.append(build(r, s, t))
+                except NotSimpleError:
+                    pass
+    return out
+
+
+SMALL_TORI = _small_tori()
 
 
 def test_enumeration_matches_brute_force_t33():
@@ -22,9 +39,12 @@ def test_enumeration_matches_brute_force_t33():
 
 
 def test_enumeration_matches_brute_force_t442():
-    tri = build(4, 4, 2)  # a twisted, non-3-colorable instance
-    res = enumerate_colorings(tri, 4)
-    assert res.total * 24 == brute_force_count(tri, 4)
+    # T(4,4,2) is twisted and not 3-colorable; the sweep also covers the
+    # one-row tori, whose pinned face wraps around the single row
+    assert len(SMALL_TORI) == 97 and build(4, 4, 2) in SMALL_TORI
+    for tri in SMALL_TORI:
+        res = enumerate_colorings(tri, 4)
+        assert res.total * 24 == brute_force_count(tri, 4), tri
 
 
 def test_enumeration_histogram_against_transfer_matrix():
@@ -60,6 +80,7 @@ def test_enumeration_threads_equivalence():
     tri = build(6, 3, 0)
     solo = enumerate_colorings(tri, 4, collect=True)
     multi = enumerate_colorings(tri, 4, collect=True, threads=2)
+    assert solo.nodes == multi.nodes
     assert solo.total == multi.total
     assert solo.histogram == multi.histogram
     assert solo.states == multi.states
@@ -108,22 +129,18 @@ def test_kempe_classes_t63():
     assert dec.total == enumerate_colorings(build(6, 3, 0), 4).total
 
 
-def test_kempe_classes_spill_equivalent(tmp_path):
-    import kempetorus.statespace as ss
-    plain = kempe_classes(build(6, 3, 0), 4)
-    orig = ss.SortedRunKeySet.__init__
+def test_kempe_classes_match_brute_force_oracle():
+    def key(hists):
+        return sorted(sorted(h.items()) for h in hists)
 
-    def tiny(self, directory, flush_items=64):
-        orig(self, directory, flush_items)
-
-    ss.SortedRunKeySet.__init__ = tiny
-    try:
-        spilled = kempe_classes(build(6, 3, 0), 4, spill_dir=str(tmp_path))
-    finally:
-        ss.SortedRunKeySet.__init__ = orig
-    assert [(c.size, c.residue, c.degree_abs_counts) for c in plain.classes] \
-        == [(c.size, c.residue, c.degree_abs_counts) for c in spilled.classes]
-    assert (tmp_path / "universe").exists()
+    for tri in SMALL_TORI:
+        dec = kempe_classes(tri, 4)
+        # each canonical state stands for its 24 labeled colorings
+        labeled = ({d: 24 * cnt for d, cnt in c.degree_abs_counts.items()}
+                   for c in dec.classes)
+        assert key(labeled) == key(brute_force_kempe_classes(tri)), tri
+        for cls in dec.classes:
+            assert (cls.residue is None) != tri.is_three_colorable(), tri
 
 
 def test_kempe_classes_budget():
@@ -172,6 +189,13 @@ def test_class_of_certify_small():
     c = random_proper_coloring(tri, 4, rng)
     rec = class_of(tri, c, certify=True)
     assert rec["certified_with_three_coloring"] is True
+
+
+def test_class_of_certify_obstructed():
+    # the non-singular coloring of T(6,6) lies in the 46-state class
+    tri = build(6, 6, 0)
+    rec = class_of(tri, nonsingular_coloring(tri), certify=True)
+    assert rec["certified_with_three_coloring"] is False
 
 
 @pytest.mark.slow
