@@ -5,9 +5,6 @@ payload is reproducible bit-exactly from the same parameters and seed;
 wall time and node counters live outside the payload.  `wsk` emits CSV
 instead.  Exit codes: 0 ok, 1 invariant violation, 2 usage error,
 3 budget exceeded.
-
-Flags can be preset through environment variables with the KEMPETORUS_
-prefix (e.g. KEMPETORUS_THREADS=4, KEMPETORUS_BUDGET_MEM=2000).
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -35,10 +31,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-def _env_default(name, fallback=None, cast=str):
-    raw = os.environ.get(f"KEMPETORUS_{name}")
-    return cast(raw) if raw is not None else fallback
+_t0 = 0.0  # perf_counter at the start of the current command
 
 
 def _grid_text(c: Coloring) -> str:
@@ -54,7 +47,7 @@ def _emit_report(args, command, payload, counters=None, seed=None):
                        if k not in ("func", "out") and v is not None},
         "triangulation": getattr(args, "tri", None),
         "payload": payload,
-        "wall_time_s": round(time.perf_counter() - args._t0, 3),
+        "wall_time_s": round(time.perf_counter() - _t0, 3),
         "counters": counters or {},
         "seed": seed,
     }
@@ -225,21 +218,17 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, tri=False, q=False, budget=False):
-        p.add_argument("--out", default=_env_default("OUT"),
+        p.add_argument("--out",
                        help="write the JSON report (or CSV for wsk) here")
         if tri:
             p.add_argument("--tri", required=True,
                            help="triangulation descriptor, e.g. 'T(6,6,0)'")
         if q:
-            p.add_argument("--q", type=int,
-                           default=_env_default("Q", 4, int))
+            p.add_argument("--q", type=int, default=4)
         if budget:
-            p.add_argument("--budget-nodes", type=int,
-                           default=_env_default("BUDGET_NODES", None, int))
-            p.add_argument("--budget-mem", type=float, metavar="MB",
-                           default=_env_default("BUDGET_MEM", None, float))
-            p.add_argument("--threads", type=int,
-                           default=_env_default("THREADS", 1, int))
+            p.add_argument("--budget-nodes", type=int)
+            p.add_argument("--budget-mem", type=float, metavar="MB")
+            p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("build", help="construct T(r,s,t), dump tables")
     common(p, tri=True)
@@ -265,7 +254,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wsk", help="run the zero-temperature WSK chain")
     common(p, tri=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--record", choices=("degrees", "states"), default="degrees")
     p.add_argument("--start", default="auto",
                    help="'auto', 'three', 'nonsingular', 'random', or a grid file")
@@ -286,19 +275,19 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     common(p)
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--threads", type=int,
-                   default=_env_default("THREADS", 1, int))
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
+    global _t0
     ap = make_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args._t0 = time.perf_counter()
+    _t0 = time.perf_counter()
     try:
         return args.func(args)
     except BudgetExceeded as exc:

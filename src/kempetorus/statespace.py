@@ -11,10 +11,12 @@ The signed degree is maintained incrementally as faces complete, so the
 |degree| histogram costs O(1) per leaf.
 
 Class decomposition is a BFS over the Kempe graph on canonical states,
-keyed by a 2-bit-per-vertex packed encoding.  Kempe components are found
-with shift-based bitboard flood fills (the lattice is translation
-invariant, so the neighbourhood of a vertex set is six shifted copies).
-Every state and the visited set are held in memory.
+one engine for every q.  A state is keyed by its color masks (bit v is
+vertex v) in first-appearance order, so a Kempe change is two mask xors
+and a re-sort.  Kempe components are found with shift-based bitboard
+flood fills (the lattice is translation invariant, so the neighbourhood
+of a vertex set is six shifted copies).  Every state and the visited set
+are held in memory.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, canonicalize, three_coloring
-from .degree import degree
+from .coloring import Coloring, three_coloring
+from .degree import TARGET_ORIENTATIONS, _orient_sign, degree
 from .lattice import Triangulation
 
 
@@ -38,22 +40,14 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-# sign of a face colored (a,b,c) clockwise against target triangle {1,2,3};
-# indexed base 10 so any q <= 9 stays in range
-_SIGN = [0] * 1000
-for _perm in itertools.permutations((1, 2, 3)):
-    _s = 1 if _perm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-    _SIGN[_perm[0] * 100 + _perm[1] * 10 + _perm[2]] = _s
-
-
 @dataclass
 class EnumerationResult:
     total: int
     histogram: dict | None          # |degree| -> count, q = 4 only
     nodes: int                      # DFS assignments explored
     elapsed: float
-    states: list | None = None      # canonical packed keys, if collected
-    state_degrees: dict | None = None  # packed key -> |degree|
+    states: list | None = None      # canonical keys, if collected
+    state_degrees: dict | None = None  # key -> |degree|, meaningful for q = 4
 
 
 def _prepare(tri: Triangulation):
@@ -76,6 +70,16 @@ def _pins(tri: Triangulation) -> dict[int, int]:
     return {v: 1, e: 2, ne: 3}
 
 
+def _sign_table(base: int) -> list[int]:
+    """Sign of a face colored (a,b,c) clockwise against the target {1,2,3},
+    at index (a*base + b)*base + c; 0 for faces off the target."""
+    positive = TARGET_ORIENTATIONS[frozenset((1, 2, 3))]
+    table = [0] * base ** 3
+    for a, b, c in itertools.permutations(positive):
+        table[(a * base + b) * base + c] = _orient_sign(a, b, c, positive)
+    return table
+
+
 def _dfs(tri, q, colors, start, used_max, budget, sink):
     """Backtracking continuation from vertex `start`; calls sink(colors, deg).
 
@@ -85,14 +89,16 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
     n = tri.n
     back, faces_at = _prepare(tri)
     pinned = _pins(tri)
-    sign = _SIGN
+    # colors reach min(q, n), and the pinned face always holds 1, 2 and 3
+    base = max(3, min(q, n)) + 1
+    sign = _sign_table(base)
     nodes = 0
     limit = budget if budget is not None else float("inf")
 
     deg0 = 0
     for v in range(start):
         for a, b, c in faces_at[v]:
-            deg0 += sign[colors[a] * 100 + colors[b] * 10 + colors[c]]
+            deg0 += sign[(colors[a] * base + colors[b]) * base + colors[c]]
 
     def rec(v, deg, used_max):
         nonlocal nodes
@@ -120,7 +126,7 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
             colors[v] = col
             d = deg
             for a, b, c in fs:
-                d += sign[colors[a] * 100 + colors[b] * 10 + colors[c]]
+                d += sign[(colors[a] * base + colors[b]) * base + colors[c]]
             rec(v + 1, d, used_max if col <= used_max else col)
         colors[v] = 0
 
@@ -159,72 +165,41 @@ def _collect_prefixes(tri, q, depth):
     return prefixes, nodes
 
 
-def _pack(colors, offset=1) -> int:
-    """2 bits per vertex, vertex 0 in the lowest bits; colors offset..offset+3."""
-    packed = 0
-    for v in reversed(range(len(colors))):
-        packed = (packed << 2) | (colors[v] - offset)
-    return packed
+def _least(m: int) -> int:
+    return m & -m
 
 
-def _unpack(packed: int, n: int) -> bytes:
-    return bytes(((packed >> (2 * v)) & 3) + 1 for v in range(n))
+def canonical_packed(masks: list[int], n: int) -> int:
+    """Key of a coloring up to color permutation, from its q color masks.
 
-
-# 24 color-permutation remap tables over one packed byte (4 vertices)
-_PERM_TABLES: dict[tuple, bytes] = {}
-for _p in itertools.permutations(range(4)):
-    _PERM_TABLES[_p] = bytes(
-        _p[b & 3] | (_p[(b >> 2) & 3] << 2) | (_p[(b >> 4) & 3] << 4)
-        | (_p[(b >> 6) & 3] << 6) for b in range(256))
-_IDENTITY_PERM = (0, 1, 2, 3)
-
-# spread a vertex-mask byte to a packed-domain 16-bit word (bit v -> bit 2v)
-_SPREAD = []
-for _b in range(256):
-    _w = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _w |= 1 << (2 * _i)
-    _SPREAD.append(_w)
-
-
-def canonical_packed(packed: int, n: int, nbytes: int) -> int:
-    """First-appearance canonical form of a packed q=4 coloring."""
-    perm = [-1, -1, -1, -1]
-    nxt = 0
-    p = packed
-    for _ in range(n):
-        c = p & 3
-        if perm[c] < 0:
-            perm[c] = nxt
-            nxt += 1
-            if nxt == 4:
-                break
-        p >>= 2
-    if nxt < 4:
-        for c in range(4):
-            if perm[c] < 0:
-                perm[c] = nxt
-                nxt += 1
-    perm = tuple(perm)
-    if perm == _IDENTITY_PERM:
-        return packed
-    table = _PERM_TABLES[perm]
-    raw = packed.to_bytes(nbytes, "little")
-    out = int.from_bytes(bytes(table[b] for b in raw), "little")
-    return out & ((1 << (2 * n)) - 1)  # padding bits also got remapped
+    Nonempty masks in first-appearance order (by least vertex), then empty
+    ones; the first q - 1 are concatenated, mask k in bits [k n, (k+1) n).
+    """
+    key = 0
+    for m in reversed(sorted([m for m in masks if m], key=_least)
+                      [:len(masks) - 1]):
+        key = key << n | m
+    return key
 
 
 class PackedKempe:
-    """Bitboard Kempe-move engine for q=4 on a fixed triangulation."""
+    """Bitboard Kempe-move engine for q colors on a fixed triangulation.
 
-    def __init__(self, tri: Triangulation):
+    A state is a key over color masks, bit v being vertex v; the last
+    color's mask is the complement (see `canonical_packed`).
+    """
+
+    def __init__(self, tri: Triangulation, q: int):
         self.tri = tri
+        self.q = q
         n = self.n = tri.n
-        self.nbytes = (2 * n + 7) // 8
+        full = self.full = (1 << n) - 1
+        self._shifts = tuple(k * n for k in range(q - 1))
+        self._pairs = tuple(itertools.combinations(range(q), 2))
+        # color k -> b"1", anything else -> b"0"; see label_masks
+        self._digits = tuple(bytes(49 if i == k else 48 for i in range(256))
+                             for k in range(1, q + 1))
         r, s, t = tri.r, tri.s, tri.t
-        full = (1 << n) - 1
         col1 = colr = 0
         for y in range(s):
             col1 |= 1 << (y * r)
@@ -261,20 +236,31 @@ class PackedKempe:
 
         self._nbh = neighborhood
 
-    def pack(self, c: Coloring) -> int:
-        return _pack(c.colors)
+    def label_masks(self, colors) -> list[int]:
+        """The masks of colors 1..q, in label order, of a color sequence."""
+        rev = bytes(colors)[::-1]  # vertex 0 is the least significant digit
+        return [int(rev.translate(d), 2) for d in self._digits]
 
-    def unpack(self, packed: int) -> Coloring:
-        return Coloring(self.tri, 4, _unpack(packed, self.n))
-
-    def canonical(self, packed: int) -> int:
-        return canonical_packed(packed, self.n, self.nbytes)
-
-    def color_masks(self, packed: int) -> list[int]:
-        masks = [0, 0, 0, 0]
-        for v in range(self.n):
-            masks[(packed >> (2 * v)) & 3] |= 1 << v
+    def color_masks(self, key: int) -> list[int]:
+        """The q color masks of a key; the last one is the complement."""
+        full = self.full
+        masks = [key >> k & full for k in self._shifts]
+        masks.append(full ^ sum(masks))  # disjoint, so the sum is the union
         return masks
+
+    def pack(self, c: Coloring) -> int:
+        """Key of `c` with its colors as labeled, so unpack(pack(c)) == c."""
+        return sum(m << k for m, k in zip(self.label_masks(c.colors),
+                                          self._shifts))
+
+    def unpack(self, key: int) -> Coloring:
+        masks = self.color_masks(key)
+        return Coloring(self.tri, self.q, bytes(
+            next(col for col, m in enumerate(masks, 1) if m >> v & 1)
+            for v in range(self.n)))
+
+    def canonical(self, key: int) -> int:
+        return canonical_packed(self.color_masks(key), self.n)
 
     def components(self, region: int) -> list[int]:
         nbh = self._nbh
@@ -291,36 +277,25 @@ class PackedKempe:
             rem &= ~comp
         return comps
 
-    def _xor_mask(self, comp: int, xv: int) -> int:
-        spread = 0
-        shift = 0
-        while comp:
-            spread |= _SPREAD[comp & 0xFF] << shift
-            comp >>= 8
-            shift += 16
-        return spread * xv
-
-    def neighbor_keys(self, packed: int) -> list[int]:
-        """Canonical packed forms reachable by one Kempe change.
+    def neighbor_keys(self, key: int) -> list[int]:
+        """Canonical keys reachable by one Kempe change.
 
         Swapping a component that covers the whole two-color subgraph is
         a global color permutation, hence canonically trivial; skipped.
         """
-        masks = self.color_masks(packed)
-        n, nbytes = self.n, self.nbytes
+        masks = self.color_masks(key)
+        n = self.n
         out = []
-        for a in range(4):
-            for b in range(a + 1, 4):
-                region = masks[a] | masks[b]
-                if not region:
-                    continue
-                comps = self.components(region)
-                if len(comps) <= 1:
-                    continue
-                xv = a ^ b
-                for comp in comps:
-                    out.append(canonical_packed(
-                        packed ^ self._xor_mask(comp, xv), n, nbytes))
+        for a, b in self._pairs:
+            ma, mb = masks[a], masks[b]
+            comps = self.components(ma | mb)
+            if len(comps) <= 1:
+                continue
+            for comp in comps:
+                masks[a] = ma ^ comp
+                masks[b] = mb ^ comp
+                out.append(canonical_packed(masks, n))
+            masks[a], masks[b] = ma, mb
         return out
 
 
@@ -330,7 +305,8 @@ def _enum_task(tri, q, budget, collect, task):
     Returns (total, |degree| histogram, nodes, states, state degrees).
     """
     prefix, used_max = task
-    n, nbytes = tri.n, (2 * tri.n + 7) // 8
+    n = tri.n
+    engine = PackedKempe(tri, q) if collect else None
     colors = bytearray(n)
     colors[:len(prefix)] = prefix
     total = 0
@@ -344,7 +320,7 @@ def _enum_task(tri, q, budget, collect, task):
         d = abs(deg)
         hist[d] = hist.get(d, 0) + 1
         if collect:
-            key = canonical_packed(_pack(colors), n, nbytes)
+            key = canonical_packed(engine.label_masks(colors), n)
             states.append(key)
             degs[key] = d
 
@@ -357,7 +333,7 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
                         ) -> EnumerationResult:
     """Count canonical proper q-colorings; histogram |degree| for q = 4.
 
-    `collect` gathers the canonical packed states (q = 4 only).  With
+    `collect` gathers the canonical keys of the states.  With
     `threads` > 1 the search tree is split at a fixed prefix depth into
     tasks for a process pool; one thread runs the single empty-prefix
     task in-process.  Results, node count included, are independent of
@@ -365,8 +341,6 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    if collect and q != 4:
-        raise ValueError("state collection is implemented for q = 4")
     t0 = time.perf_counter()
     task = functools.partial(_enum_task, tri, q, budget_nodes, collect)
     total = 0
@@ -469,74 +443,37 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
                   budget_states=None, threads: int = 1) -> ClassDecomposition:
     """Partition all canonical proper q-colorings into Kempe classes.
 
-    q = 4 uses the packed bitboard engine with every state held in
-    memory.  On 3-colorable tori each class is checked to carry a single
-    |degree| residue mod 12 (the Kempe invariant), which is reported;
-    elsewhere the invariant does not hold and the residue is None.  Other
-    q fall back to a generic canonical-bytes BFS (small instances only).
+    One bitboard engine serves every q, with every state held in memory;
+    a class is represented by its member with the least key.  For q = 4
+    each class reports its |degree| histogram, and on 3-colorable tori its
+    |degree| residue mod 12, checked to be single (the Kempe invariant).
+    Elsewhere the invariant does not hold and the residue is None.
     """
-    if q != 4:
-        return _kempe_classes_generic(tri, q, budget_nodes, budget_states)
-    engine = PackedKempe(tri)
+    engine = PackedKempe(tri, q)
     enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
                                threads=threads, collect=True)
-    three_colorable = tri.is_three_colorable()
+    check_residue = q == 4 and tri.is_three_colorable()
     visited: set[int] = set()
     classes = []
+    # states ascend, so each seed is the least key of its class
     for seed in enum.states:
         if seed in visited:
             continue
         size, dhist = _bfs_class_stats(engine, seed, enum.state_degrees,
                                        visited, budget_states)
         residue = None
-        if three_colorable:
+        if check_residue:
             residues = {d % 12 for d in dhist}
             assert len(residues) == 1, (
                 f"Kempe class mixes degree residues {residues}: bug")
             residue = residues.pop()
-        classes.append(KempeClass(size, residue, engine.unpack(seed), dhist))
+        classes.append(KempeClass(size, residue, engine.unpack(seed),
+                                  dhist if q == 4 else {}))
     classes.sort(key=lambda c: -c.size)
     total = sum(c.size for c in classes)
     assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
     return ClassDecomposition(tri, q, total, classes)
-
-
-def _kempe_classes_generic(tri, q, budget_nodes, budget_states):
-    from .kempe import kempe_change, kempe_components, KempeMove
-
-    # the pinned DFS emits one member of each orbit; canonical bytes name it
-    states: list[bytes] = []
-
-    def sink(colors, deg):
-        states.append(canonicalize(Coloring(tri, q, bytes(colors))).colors)
-
-    _dfs(tri, q, bytearray(tri.n), 0, 3, budget_nodes, sink)
-    states.sort()
-
-    def neighbors(key):
-        c = Coloring(tri, q, key)
-        out = []
-        for a in range(1, q + 1):
-            for b in range(a + 1, q + 1):
-                comps = kempe_components(tri, c, a, b)
-                if len(comps) > 1:
-                    out.extend(canonicalize(
-                        kempe_change(tri, c, KempeMove(a, b, comp))).colors
-                        for comp in comps)
-        return out
-
-    universe = set(states)
-    visited: set[bytes] = set()
-    classes = []
-    for seed in states:
-        if seed in visited:
-            continue
-        size = sum(len(level) for level in _bfs_levels(
-            neighbors, seed, visited, universe, budget_states))
-        classes.append(KempeClass(size, 0, Coloring(tri, q, seed)))
-    classes.sort(key=lambda c: -c.size)
-    return ClassDecomposition(tri, q, sum(c.size for c in classes), classes)
 
 
 def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
@@ -554,7 +491,7 @@ def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
            "label": "ergodic-class" if residue == 0 else "obstructed-class",
            "certified_with_three_coloring": None}
     if certify:
-        engine = PackedKempe(tri)
+        engine = PackedKempe(tri, c.q)
         target = engine.canonical(engine.pack(
             Coloring(tri, 4, three_coloring(tri).colors)))
         seed = engine.canonical(engine.pack(c))

@@ -108,15 +108,14 @@ def naive_degree(tri, coloring, target=(1, 2, 3)):
     return p - n
 
 
-def brute_force_kempe_classes(tri):
-    """Kempe classes of all labeled proper 4-colorings, by union-find.
+def brute_force_kempe_classes(tri, q=4):
+    """Kempe classes of all labeled proper q-colorings, by union-find.
 
     Every two-color component of every labeled coloring is flood-filled
-    and swapped, and the two colorings are joined.  Returns one
-    {|degree|: count} histogram per class; degrees come from
-    `naive_degree`.
+    and swapped, and the two colorings are joined.  Returns each class as
+    a list of labeled colorings.
     """
-    states = brute_force_colorings(tri, 4)
+    states = brute_force_colorings(tri, q)
     index = {c: i for i, c in enumerate(states)}
     parent = list(range(len(states)))
 
@@ -127,7 +126,7 @@ def brute_force_kempe_classes(tri):
         return i
 
     for i, c in enumerate(states):
-        for a, b in itertools.combinations((1, 2, 3, 4), 2):
+        for a, b in itertools.combinations(range(1, q + 1), 2):
             seen = set()
             for v in range(tri.n):
                 if c[v] not in (a, b) or v in seen:
@@ -146,10 +145,23 @@ def brute_force_kempe_classes(tri):
                 parent[find(i)] = find(index[swapped])
     classes = {}
     for i, c in enumerate(states):
-        hist = classes.setdefault(find(i), {})
+        classes.setdefault(find(i), []).append(c)
+    return list(classes.values())
+
+
+def degree_histogram(tri, colorings):
+    """{|degree|: count} over labeled 4-colorings, by `naive_degree`."""
+    hist = {}
+    for c in colorings:
         d = abs(naive_degree(tri, c))
         hist[d] = hist.get(d, 0) + 1
-    return list(classes.values())
+    return hist
+
+
+def first_appearance(c):
+    """Relabel a coloring's colors 1, 2, ... in order of first use."""
+    perm = {}
+    return tuple(perm.setdefault(x, len(perm) + 1) for x in c)
 
 
 def _row_states(r, q):

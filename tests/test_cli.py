@@ -26,6 +26,11 @@ def test_enumerate_t33(capsys):
     rep = json.loads(out)
     assert rep["payload"]["total"] == 10
     assert rep["payload"]["histogram"] == {"0": 10}
+    # colors of 10 and more: T(3,3,0) has 9 vertices, so Bell(3)**3 orbits
+    code, out = run(capsys, "enumerate", "--tri", "T(3,3,0)", "--q", "10")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["payload"] == {"total": 125, "histogram": None}
 
 
 def test_classes_t33(capsys):
@@ -35,6 +40,11 @@ def test_classes_t33(capsys):
     assert rep["payload"]["num_classes"] == 1
     grid = rep["payload"]["classes"][0]["representative_grid"]
     assert grid.startswith("T 3 3 0 4\n")
+    # the mod-12 degree is a 4-coloring invariant only
+    code, out = run(capsys, "classes", "--tri", "T(3,3,0)", "--q", "3")
+    assert code == 0
+    assert [c["residue"] for c in json.loads(out)["payload"]["classes"]] \
+        == [None]
 
 
 def test_construct_and_degree(tmp_path, capsys):
@@ -118,22 +128,14 @@ def test_report_out_file(tmp_path, capsys):
     assert rep["payload"]["total"] == 10
 
 
-def test_env_override_threads(monkeypatch, capsys):
-    monkeypatch.setenv("KEMPETORUS_THREADS", "2")
-    code, out = run(capsys, "enumerate", "--tri", "T(6,3,0)", "--q", "4")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["parameters"]["threads"] == 2
-    assert rep["payload"]["total"] == 364
-
-
 def test_payload_reproducible(capsys):
     outs = []
     for _ in range(2):
         code, out = run(capsys, "classes", "--tri", "T(6,3,0)", "--q", "4")
         assert code == 0
-        outs.append(json.loads(out)["payload"])
-    assert outs[0] == outs[1]
+        outs.append(json.loads(out))
+    assert outs[0]["payload"] == outs[1]["payload"]
+    assert outs[0]["parameters"] == outs[1]["parameters"]
 
 
 def test_classes_exit_zero_off_the_invariant(capsys):

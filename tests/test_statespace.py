@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from kempetorus.statespace import (BudgetExceeded, PackedKempe, class_of,
                                    enumerate_colorings, kempe_classes)
 
 from oracles import (brute_force_colorings, brute_force_count,
-                     brute_force_kempe_classes, canonical_abs_census)
+                     brute_force_kempe_classes, canonical_abs_census,
+                     degree_histogram, first_appearance)
 
 
 def _small_tori(max_n=16):
@@ -71,6 +73,12 @@ def test_enumeration_q5_orbit_count():
     assert res.total == len(canon)
 
 
+def test_enumeration_q_at_least_n():
+    # T(3,3,0) has 9 vertices, so every q >= 9 gives Bell(3)**3 orbits
+    for q in (9, 10, 12):
+        assert enumerate_colorings(build(3, 3, 0), q).total == 125, q
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000)
@@ -88,33 +96,40 @@ def test_enumeration_threads_equivalence():
 
 def test_packed_engine_neighbors_match_generic_path():
     rng = random.Random(17)
-    for (r, s, t) in ((3, 3, 0), (6, 3, 0), (5, 4, 2), (6, 2, 2)):
+    for (r, s, t), q in itertools.product(
+            ((3, 3, 0), (6, 3, 0), (5, 4, 2), (6, 2, 2)), (4, 5)):
         tri = build(r, s, t)
-        eng = PackedKempe(tri)
+        eng = PackedKempe(tri, q)
         for _ in range(8):
-            c = random_proper_coloring(tri, 4, rng)
+            c = random_proper_coloring(tri, q, rng)
             ref = set()
-            for a in (1, 2, 3, 4):
-                for b in range(a + 1, 5):
+            for a in range(1, q + 1):
+                for b in range(a + 1, q + 1):
                     comps = kempe_components(tri, c, a, b)
                     if len(comps) <= 1:
                         continue
                     for comp in comps:
                         c2 = kempe_change(tri, c, KempeMove(a, b, comp))
                         ref.add(eng.canonical(eng.pack(c2)))
-            assert set(eng.neighbor_keys(eng.pack(c))) == ref, (r, s, t)
+            assert set(eng.neighbor_keys(eng.pack(c))) == ref, (r, s, t, q)
 
 
 def test_packed_roundtrip_and_canonical():
     tri = build(6, 6, 0)
-    eng = PackedKempe(tri)
     rng = random.Random(23)
-    for _ in range(10):
-        c = random_proper_coloring(tri, 4, rng)
-        packed = eng.pack(c)
-        assert eng.unpack(packed).colors == c.colors
-        canon = eng.canonical(packed)
-        assert eng.unpack(canon).colors == canonicalize(c).colors
+    three = three_coloring(tri).colors
+    for q in (4, 5):
+        eng = PackedKempe(tri, q)
+        # colorings with fewer than q colors, labels with gaps included:
+        # the masks of unused colors must stay empty in canonical keys
+        cs = [Coloring(tri, q, bytes(perm[x - 1] for x in three))
+              for perm in ((1, 2, 3), (4, 1, 3), (q, 2, 1))]
+        cs += [random_proper_coloring(tri, q, rng) for _ in range(10)]
+        for c in cs:
+            packed = eng.pack(c)
+            assert eng.unpack(packed).colors == c.colors
+            canon = eng.canonical(packed)
+            assert eng.unpack(canon).colors == canonicalize(c).colors
 
 
 def test_kempe_classes_t33():
@@ -138,9 +153,30 @@ def test_kempe_classes_match_brute_force_oracle():
         # each canonical state stands for its 24 labeled colorings
         labeled = ({d: 24 * cnt for d, cnt in c.degree_abs_counts.items()}
                    for c in dec.classes)
-        assert key(labeled) == key(brute_force_kempe_classes(tri)), tri
+        oracle = (degree_histogram(tri, cls)
+                  for cls in brute_force_kempe_classes(tri))
+        assert key(labeled) == key(oracle), tri
         for cls in dec.classes:
             assert (cls.residue is None) != tri.is_three_colorable(), tri
+            assert canonicalize(cls.representative) == cls.representative
+    # other q: a class has one state per first-appearance relabeling in
+    # the labeled class of its representative
+    cases = [(tri, q) for q, max_n in ((3, 10), (5, 9))
+             for tri in SMALL_TORI if tri.n <= max_n]
+    assert len(cases) == 30
+    for tri, q in cases:
+        oracle = brute_force_kempe_classes(tri, q)
+        where = {c: i for i, cls in enumerate(oracle) for c in cls}
+        dec = kempe_classes(tri, q)
+        matched = {where[tuple(cls.representative.colors)]
+                   for cls in dec.classes}
+        assert len(matched) == dec.num_classes == len(oracle), (tri, q)
+        for cls in dec.classes:
+            members = oracle[where[tuple(cls.representative.colors)]]
+            assert cls.size == len(set(map(first_appearance, members))), \
+                (tri, q)
+            assert cls.residue is None and cls.degree_abs_counts == {}
+            assert canonicalize(cls.representative) == cls.representative
 
 
 def test_kempe_classes_budget():
@@ -151,6 +187,7 @@ def test_kempe_classes_budget():
 def test_kempe_classes_q3():
     dec = kempe_classes(build(6, 6, 0), 3)
     assert dec.num_classes == 1 and dec.total == 1
+    assert dec.classes[0].residue is None
 
 
 def test_class_residues_are_pure():
