@@ -62,8 +62,8 @@ def _emit_report(args, command, payload, counters=None, seed=None):
 def _budget_states(args):
     if args.budget_mem is None:
         return None
-    # caps the states of one class; a packed state costs roughly 120 bytes
-    # in a Python set, but the visited set over all classes is not capped
+    # caps the states of one class at a rough 120 bytes per state; the
+    # degree map that holds every enumerated state is not capped
     return max(1, int(args.budget_mem * 1e6 / 120))
 
 

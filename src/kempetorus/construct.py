@@ -7,10 +7,9 @@ diagonal's designated pair keeps the coloring proper.  A forced vertex
 admitting zero or two colors means the construction guarantee is
 violated, which is a bug, not an input condition.
 
-In checked mode the builder verifies every assignment against its
-colored neighbours and asserts the running partial degree after each
-step against the per-case ledger (e.g. 4, 4+12(k-1), 2+12(k-1),
-6+12(k-1) for L = 4k-1).
+The builder verifies every assignment against its colored neighbours
+and asserts the running partial degree after each step against the
+per-case ledger (e.g. 4, 4+12(k-1), 2+12(k-1), 6+12(k-1) for L = 4k-1).
 
 Asymmetric witnesses on T(3L,3M) are obtained by gluing degree-zero
 strips T(3L,3) on top of the symmetric witness, or for L = 2 by tiling
@@ -47,9 +46,8 @@ class ConstructionTrace:
 
 
 class _DiagonalBuilder:
-    def __init__(self, tri: Triangulation, checked: bool):
+    def __init__(self, tri: Triangulation):
         self.tri = tri
-        self.checked = checked
         self.colors = bytearray(tri.n)
         self.trace = ConstructionTrace()
         self._pending: list[int] = []
@@ -67,7 +65,7 @@ class _DiagonalBuilder:
         v = self.tri.vertex(x, y)
         if self.colors[v]:
             raise ConstructionError(f"vertex ({x},{y}) colored twice")
-        if self.checked and color not in self.admissible(v, (color,)):
+        if color not in self.admissible(v, (color,)):
             raise ConstructionError(
                 f"{source or 'assignment'} at ({x},{y}) breaks properness")
         self.colors[v] = color
@@ -75,7 +73,7 @@ class _DiagonalBuilder:
     def forced(self, x: int, y: int, pool) -> int:
         v = self.tri.vertex(x, y)
         cand = self.admissible(v, pool)
-        if (len(cand) != 1 if self.checked else not cand):
+        if len(cand) != 1:
             raise ConstructionError(
                 f"unique choice failed at ({x},{y}): {len(cand)} colors "
                 f"admissible from {tuple(pool)}")
@@ -97,7 +95,7 @@ class _DiagonalBuilder:
 
     def checkpoint(self, label: str, expect=None) -> int:
         deg = partial_degree(self.tri, self.colors)
-        if self.checked and expect is not None and deg != expect:
+        if expect is not None and deg != expect:
             raise ConstructionError(
                 f"partial degree after {label} is {deg}, ledger says {expect}")
         self.trace.steps.append(TraceEntry(label, self._pending, deg))
@@ -108,7 +106,7 @@ class _DiagonalBuilder:
         if 0 in self.colors:
             raise ConstructionError("construction left uncolored vertices")
         c = Coloring(self.tri, 4, bytes(self.colors))
-        if self.checked and not is_proper(self.tri, c):
+        if not is_proper(self.tri, c):
             raise ConstructionError("constructed coloring is not proper")
         return c
 
@@ -138,7 +136,7 @@ class _DiagonalBuilder:
         self._pending.append(j)
 
 
-def _case_l_eq_2(checked: bool):
+def _case_l_eq_2():
     tri = build(6, 6, 0)
     c = nonsingular_coloring(tri)
     trace = ConstructionTrace()
@@ -147,9 +145,9 @@ def _case_l_eq_2(checked: bool):
     return c, trace
 
 
-def _case_4k_minus_1(k: int, checked: bool):
+def _case_4k_minus_1(k: int):
     M = 12 * k - 3
-    b = _DiagonalBuilder(build(M, M, 0), checked)
+    b = _DiagonalBuilder(build(M, M, 0))
 
     b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k - 1 else 2)
     b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 1 <= x <= 9 * k - 1 else 4)
@@ -179,9 +177,9 @@ def _case_4k_minus_1(k: int, checked: bool):
     return b.finish(), b.trace
 
 
-def _case_4k(k: int, checked: bool):
+def _case_4k(k: int):
     M = 12 * k
-    b = _DiagonalBuilder(build(M, M, 0), checked)
+    b = _DiagonalBuilder(build(M, M, 0))
 
     b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k else 2)
     b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 2 <= x <= 9 * k + 1 else 4)
@@ -211,7 +209,7 @@ def _case_4k(k: int, checked: bool):
     ca2 = b.forced(12 * k, 6 * k, (1, 2))
     cb = b.forced(6 * k + 1, 12 * k - 1, (1, 2))
     cb2 = b.forced(6 * k, 12 * k, (1, 2))
-    if checked and (ca != ca2 or cb != cb2 or ca == cb):
+    if ca != ca2 or cb != cb2 or ca == cb:
         raise ConstructionError("forced 1/2 vertices on the middle diagonal "
                                 "do not pair up as the ledger requires")
     for v in b.tri.counter_diagonal(6 * k):
@@ -235,9 +233,9 @@ def _case_4k(k: int, checked: bool):
     return b.finish(), b.trace
 
 
-def _case_4k_plus_1(k: int, checked: bool):
+def _case_4k_plus_1(k: int):
     M = 12 * k + 3
-    b = _DiagonalBuilder(build(M, M, 0), checked)
+    b = _DiagonalBuilder(build(M, M, 0))
 
     b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k + 2 else 2)
     b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 3 <= x <= 9 * k + 3 else 4)
@@ -276,7 +274,7 @@ def _case_4k_plus_1(k: int, checked: bool):
         b.put(*pair1[1], p1, source=f"D{j} forced pair")
         p2 = b.forced(*pair2[0], (3, 4))
         b.put(*pair2[1], p2, source=f"D{j} forced pair")
-        if checked and p1 == p2:
+        if p1 == p2:
             raise ConstructionError(f"forced pairs on D{j} took equal colors")
         deferred = None
         for v in b.tri.counter_diagonal(j):
@@ -307,7 +305,7 @@ def _case_4k_plus_1(k: int, checked: bool):
     # the last free vertex balances the 3-counts of the two parity diagonals
     have = count_threes(6 * k + 4)
     b.put(*deferred, 3 if have < target else 4, source="count-matching vertex")
-    if checked and count_threes(6 * k + 4) != target:
+    if count_threes(6 * k + 4) != target:
         raise ConstructionError("3-counts of the parity diagonals differ")
     b.mark(6 * k + 4)
     b.checkpoint("step3", expect=4 + 12 * (k - 1))
@@ -328,11 +326,11 @@ def _case_4k_plus_1(k: int, checked: bool):
     return b.finish(), b.trace
 
 
-def _case_4k_minus_2(k: int, checked: bool):
+def _case_4k_minus_2(k: int):
     if k < 2:
         raise ValueError("the counter-diagonal algorithm needs k >= 2")
     M = 12 * k - 6
-    b = _DiagonalBuilder(build(M, M, 0), checked)
+    b = _DiagonalBuilder(build(M, M, 0))
 
     b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k - 3 else 2)
     b.seed_diagonal(2, lambda x, y: 3 if 3 * k <= x <= 9 * k - 4 else 4)
@@ -411,21 +409,20 @@ def _case_4k_minus_2(k: int, checked: bool):
     return b.finish(), b.trace
 
 
-def construct_deg6_symmetric(L: int, checked: bool = True
-                             ) -> tuple[Coloring, ConstructionTrace]:
+def construct_deg6_symmetric(L: int) -> tuple[Coloring, ConstructionTrace]:
     """A proper 4-coloring of T(3L,3L) with degree 6 (mod 12), L >= 2."""
     if L < 2:
         raise ValueError("witnesses exist for L >= 2 only")
     m = L % 4
     if m == 2:
         if L == 2:
-            return _case_l_eq_2(checked)
-        return _case_4k_minus_2((L + 2) // 4, checked)
+            return _case_l_eq_2()
+        return _case_4k_minus_2((L + 2) // 4)
     if m == 3:
-        return _case_4k_minus_1((L + 1) // 4, checked)
+        return _case_4k_minus_1((L + 1) // 4)
     if m == 0:
-        return _case_4k(L // 4, checked)
-    return _case_4k_plus_1((L - 1) // 4, checked)
+        return _case_4k(L // 4)
+    return _case_4k_plus_1((L - 1) // 4)
 
 
 def extend_periodic(c: Coloring, p: int, q: int) -> Coloring:
@@ -535,7 +532,7 @@ def glue_strip(c: Coloring, strip: Coloring) -> Coloring:
     return Coloring(tri, c.q, c.colors + strip.colors)
 
 
-def construct_deg6(L: int, M: int, checked: bool = True) -> Coloring:
+def construct_deg6(L: int, M: int) -> Coloring:
     """Witness 4-coloring of T(3L,3M) with degree 6 (mod 12).
 
     Supported: L >= 3 with M >= L (symmetric witness plus M-L glued
@@ -546,12 +543,12 @@ def construct_deg6(L: int, M: int, checked: bool = True) -> Coloring:
         if M % 2 or (M // 2) % 2 == 0:
             raise ValueError(
                 f"T(6,{3 * M}) witness exists only for M = 2p with p odd")
-        base, _ = construct_deg6_symmetric(2, checked)
+        base, _ = construct_deg6_symmetric(2)
         return extend_periodic(base, 1, M // 2)
     if L < 3 or M < L:
         raise ValueError(f"unsupported parameters (L={L}, M={M}): "
                          "need L >= 3 and M >= L, or L = 2 with M/2 odd")
-    c, _ = construct_deg6_symmetric(L, checked)
+    c, _ = construct_deg6_symmetric(L)
     if M > L:
         strip = build_strip(L)
         for _ in range(M - L):

@@ -57,9 +57,9 @@ def _orient_sign(a: int, b: int, c: int, positive: tuple[int, int, int]) -> int:
     return -1
 
 
-def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3),
-                       faces=None) -> tuple[int, int]:
-    """(p, n) over the given faces (all faces by default).
+def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
+                       ) -> tuple[int, int]:
+    """(p, n) over all faces.
 
     Accepts raw color sequences; faces containing a 0 (uncolored vertex)
     are skipped, which is what partial-degree monitoring needs.
@@ -69,8 +69,7 @@ def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3),
         raise ValueError(f"target {target} is not a triangle of the tetrahedron")
     positive = TARGET_ORIENTATIONS[tset]
     p = n = 0
-    face_list = tri.faces if faces is None else [tri.faces[f] for f in faces]
-    for va, vb, vc in face_list:
+    for va, vb, vc in tri.faces:
         a, b, c = colors[va], colors[vb], colors[vc]
         if a == b or b == c or a == c:
             continue
@@ -83,8 +82,8 @@ def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3),
     return p, n
 
 
-def partial_degree(tri: Triangulation, colors, faces=None, target=(1, 2, 3)) -> int:
-    p, n = face_degree_counts(tri, colors, target, faces)
+def partial_degree(tri: Triangulation, colors) -> int:
+    p, n = face_degree_counts(tri, colors)
     return p - n
 
 

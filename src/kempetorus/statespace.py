@@ -15,12 +15,13 @@ one engine for every q.  A state is keyed by its color masks (bit v is
 vertex v) in first-appearance order, so a Kempe change is two mask xors
 and a re-sort.  Kempe components are found with shift-based bitboard
 flood fills (the lattice is translation invariant, so the neighbourhood
-of a vertex set is six shifted copies).  Every state and the visited set
-are held in memory.
+of a vertex set is six shifted copies).  Every state is held in memory,
+once: the enumerated map from key to |degree| is also the visited table.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -39,6 +40,9 @@ class BudgetExceeded(RuntimeError):
         self.kind = kind
         self.limit = limit
 
+    def __reduce__(self):  # pool workers send it back pickled
+        return type(self), (self.kind, self.limit)
+
 
 @dataclass
 class EnumerationResult:
@@ -46,8 +50,7 @@ class EnumerationResult:
     histogram: dict | None          # |degree| -> count, q = 4 only
     nodes: int                      # DFS assignments explored
     elapsed: float
-    states: list | None = None      # canonical keys, if collected
-    state_degrees: dict | None = None  # key -> |degree|, meaningful for q = 4
+    state_degrees: dict | None = None  # key -> |degree|, if collected
 
 
 def _prepare(tri: Triangulation):
@@ -302,7 +305,7 @@ class PackedKempe:
 def _enum_task(tri, q, budget, collect, task):
     """Enumerate below one (prefix, used_max) task.
 
-    Returns (total, |degree| histogram, nodes, states, state degrees).
+    Returns (total, |degree| histogram, nodes, state degrees).
     """
     prefix, used_max = task
     n = tri.n
@@ -311,7 +314,6 @@ def _enum_task(tri, q, budget, collect, task):
     colors[:len(prefix)] = prefix
     total = 0
     hist: dict[int, int] = {}
-    states: list[int] = []
     degs: dict[int, int] = {}
 
     def sink(colors, deg):
@@ -320,12 +322,10 @@ def _enum_task(tri, q, budget, collect, task):
         d = abs(deg)
         hist[d] = hist.get(d, 0) + 1
         if collect:
-            key = canonical_packed(engine.label_masks(colors), n)
-            states.append(key)
-            degs[key] = d
+            degs[canonical_packed(engine.label_masks(colors), n)] = d
 
     nodes = _dfs(tri, q, colors, len(prefix), used_max, budget, sink)
-    return total, hist, nodes, states, degs
+    return total, hist, nodes, degs
 
 
 def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
@@ -333,7 +333,8 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
                         ) -> EnumerationResult:
     """Count canonical proper q-colorings; histogram |degree| for q = 4.
 
-    `collect` gathers the canonical keys of the states.  With
+    `collect` maps the canonical key of every state to its |degree|
+    (meaningful for q = 4), in search order.  With
     `threads` > 1 the search tree is split at a fixed prefix depth into
     tasks for a process pool; one thread runs the single empty-prefix
     task in-process.  Results, node count included, are independent of
@@ -345,8 +346,7 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     task = functools.partial(_enum_task, tri, q, budget_nodes, collect)
     total = 0
     hist: dict[int, int] = {}
-    states = [] if collect else None
-    degs = {} if collect else None
+    degs = None
     with contextlib.ExitStack() as stack:
         if threads > 1:
             prefixes, nodes = _collect_prefixes(tri, q, min(2 * tri.r, tri.n))
@@ -356,24 +356,22 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
                 chunksize=max(1, len(prefixes) // (8 * threads)))
         else:
             nodes, parts = 0, map(task, [(b"", 3)])
-        for ptotal, phist, pnodes, pstates, pdegs in parts:
+        for ptotal, phist, pnodes, pdegs in parts:
             total += ptotal
             nodes += pnodes
             if budget_nodes is not None and nodes > budget_nodes:
                 raise BudgetExceeded("nodes", budget_nodes)
             for k, v in phist.items():
                 hist[k] = hist.get(k, 0) + v
-            # adopt the first part: copying its states would double the
+            # adopt the first part: copying its map would double the
             # peak memory of a one-thread run
-            if collect and not states:
-                states, degs = pstates, pdegs
-            elif collect:
-                states.extend(pstates)
+            if degs is None:
+                degs = pdegs
+            else:
                 degs.update(pdegs)
-    if collect:
-        states.sort()
     return EnumerationResult(total, hist if q == 4 else None, nodes,
-                             time.perf_counter() - t0, states, degs)
+                             time.perf_counter() - t0,
+                             degs if collect else None)
 
 
 @dataclass
@@ -396,47 +394,53 @@ class ClassDecomposition:
         return len(self.classes)
 
 
-def _bfs_levels(neighbors, seed, visited, universe=None, budget_states=None):
-    """Yield the BFS levels (sets of states) of the Kempe class of `seed`.
+def _bfs_levels(neighbors, seed, seen, budget_states=None):
+    """Yield the BFS levels of the Kempe class of `seed`.
 
     `neighbors(state)` lists the canonical states one Kempe change away.
-    Every state yielded is added to `visited`, which callers share across
-    classes.  A state outside `universe` (the enumerated states, if given)
-    is a bug; more than `budget_states` states raise BudgetExceeded.
+    `seen` maps every admissible state to a value, which is set to None
+    once the state is yielded; callers share it across classes.  A level
+    maps its states to their values.  A state missing from `seen` is a
+    bug; more than `budget_states` states raise BudgetExceeded.
     """
-    visited.add(seed)
-    level = {seed}
+    level = {seed: seen[seed]}
     size = 0
     while level:
         size += len(level)
         if budget_states is not None and size > budget_states:
             raise BudgetExceeded("states", budget_states)
-        yield level
-        nxt = set()
         for state in level:
-            nxt.update(neighbors(state))
-        level = nxt - visited
-        if universe is not None and not level <= universe:
+            seen[state] = None
+        yield level
+        nxt = {}
+        try:
+            for state in level:
+                for k in neighbors(state):
+                    v = seen[k]
+                    if v is not None:
+                        nxt[k] = v
+        except KeyError:
             raise AssertionError(
-                "Kempe move left the enumerated state universe: bug")
-        visited |= level
+                "Kempe move left the enumerated state universe: bug") from None
+        level = nxt
 
 
-def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict, visited,
+def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict,
                      budget_states=None):
-    """BFS one Kempe class; returns (size, |degree| histogram).
+    """BFS one Kempe class; returns (size, |degree| histogram, least key).
 
-    `degs` maps every enumerated state to its |degree|.
+    `degs` maps every enumerated state to its |degree|, or to None once
+    a class search has reached it.
     """
     size = 0
+    least = seed
     dhist: dict[int, int] = {}
-    for level in _bfs_levels(engine.neighbor_keys, seed, visited,
-                             degs.keys(), budget_states):
+    for level in _bfs_levels(engine.neighbor_keys, seed, degs, budget_states):
         size += len(level)
-        for k in level:
-            d = degs[k]
+        least = min(least, min(level))
+        for d in level.values():
             dhist[d] = dhist.get(d, 0) + 1
-    return size, dhist
+    return size, dhist, least
 
 
 def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
@@ -453,23 +457,20 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
                                threads=threads, collect=True)
     check_residue = q == 4 and tri.is_three_colorable()
-    visited: set[int] = set()
+    degs = enum.state_degrees
+    found = [_bfs_class_stats(engine, seed, degs, budget_states)
+             for seed, d in degs.items() if d is not None]
     classes = []
-    # states ascend, so each seed is the least key of its class
-    for seed in enum.states:
-        if seed in visited:
-            continue
-        size, dhist = _bfs_class_stats(engine, seed, enum.state_degrees,
-                                       visited, budget_states)
+    # largest first, ties by least key: the order does not depend on the DFS
+    for size, dhist, least in sorted(found, key=lambda f: (-f[0], f[2])):
         residue = None
         if check_residue:
             residues = {d % 12 for d in dhist}
             assert len(residues) == 1, (
                 f"Kempe class mixes degree residues {residues}: bug")
             residue = residues.pop()
-        classes.append(KempeClass(size, residue, engine.unpack(seed),
+        classes.append(KempeClass(size, residue, engine.unpack(least),
                                   dhist if q == 4 else {}))
-    classes.sort(key=lambda c: -c.size)
     total = sum(c.size for c in classes)
     assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
@@ -495,8 +496,8 @@ def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
         target = engine.canonical(engine.pack(
             Coloring(tri, 4, three_coloring(tri).colors)))
         seed = engine.canonical(engine.pack(c))
-        levels = _bfs_levels(engine.neighbor_keys, seed, set(),
-                             budget_states=budget_states)
+        levels = _bfs_levels(engine.neighbor_keys, seed,
+                             collections.defaultdict(int), budget_states)
         try:
             out["certified_with_three_coloring"] = any(
                 target in level for level in levels)

@@ -72,7 +72,7 @@ def criterion_3():
 
 def criterion_4(threads: int = 1):
     """The long T(6,9) job: many hours of CPU, and tens of GB of memory
-    for the 299146792 states and the visited set."""
+    for the map from each of the 299146792 states to its |degree|."""
     t0 = time.perf_counter()
     dec = kempe_classes(build(6, 9, 0), 4, threads=threads)
     histogram: dict[int, int] = {}

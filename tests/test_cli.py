@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import kempetorus
 from kempetorus.cli import main
 from kempetorus.coloring import load_grid
 from kempetorus.fixtures import load_fixture
@@ -117,6 +121,23 @@ def test_budget_exit_code(capsys):
     code, _ = run(capsys, "enumerate", "--tri", "T(6,6,0)", "--q", "4",
                   "--budget-nodes", "100")
     assert code == 3
+
+
+def test_budget_exit_code_threaded():
+    # a pool worker exceeding the node budget must not hang the pool or
+    # print a traceback; at 10 nodes the first result back from the pool is
+    # always a worker's budget error, at 2000 it may be the parent's
+    src = os.path.dirname(os.path.dirname(kempetorus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for budget in ("10", "2000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kempetorus.cli", "enumerate",
+             "--tri", "T(6,5,2)", "--budget-nodes", budget, "--threads", "2"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: nodes budget exceeded (limit {budget})"]
 
 
 def test_report_out_file(tmp_path, capsys):

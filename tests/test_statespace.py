@@ -1,8 +1,10 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
+from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
 from kempetorus.kempe import KempeMove, kempe_change, kempe_components
@@ -84,6 +86,13 @@ def test_enumeration_budget():
         enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000)
 
 
+def test_budget_exceeded_pickles():
+    # a pool worker's budget error reaches the parent pickled
+    exc = pickle.loads(pickle.dumps(BudgetExceeded("nodes", 5)))
+    assert (exc.kind, exc.limit) == ("nodes", 5)
+    assert str(exc) == "nodes budget exceeded (limit 5)"
+
+
 def test_enumeration_threads_equivalence():
     tri = build(6, 3, 0)
     solo = enumerate_colorings(tri, 4, collect=True)
@@ -91,7 +100,7 @@ def test_enumeration_threads_equivalence():
     assert solo.nodes == multi.nodes
     assert solo.total == multi.total
     assert solo.histogram == multi.histogram
-    assert solo.states == multi.states
+    assert solo.state_degrees == multi.state_degrees
 
 
 def test_packed_engine_neighbors_match_generic_path():
@@ -144,39 +153,57 @@ def test_kempe_classes_t63():
     assert dec.total == enumerate_colorings(build(6, 3, 0), 4).total
 
 
+def _check_representatives(tri, q, dec, oracle):
+    """Each class matches the oracle class of its representative, which is
+    that class's state with the least key."""
+    eng = PackedKempe(tri, q)
+    where = {c: i for i, cls in enumerate(oracle) for c in cls}
+    matched = [where[tuple(cls.representative.colors)] for cls in dec.classes]
+    assert len(set(matched)) == dec.num_classes == len(oracle), (tri, q)
+    for cls, i in zip(dec.classes, matched):
+        assert canonicalize(cls.representative) == cls.representative
+        # a class has one state per first-appearance relabeling in the
+        # labeled class of its representative
+        states = set(map(first_appearance, oracle[i]))
+        assert cls.size == len(states), (tri, q)
+        least = min(eng.canonical(eng.pack(Coloring(tri, q, bytes(c))))
+                    for c in states)
+        assert eng.canonical(eng.pack(cls.representative)) == least, (tri, q)
+
+
 def test_kempe_classes_match_brute_force_oracle():
     def key(hists):
         return sorted(sorted(h.items()) for h in hists)
 
     for tri in SMALL_TORI:
         dec = kempe_classes(tri, 4)
+        oracle = brute_force_kempe_classes(tri)
         # each canonical state stands for its 24 labeled colorings
         labeled = ({d: 24 * cnt for d, cnt in c.degree_abs_counts.items()}
                    for c in dec.classes)
-        oracle = (degree_histogram(tri, cls)
-                  for cls in brute_force_kempe_classes(tri))
-        assert key(labeled) == key(oracle), tri
+        assert key(labeled) == key(degree_histogram(tri, cls)
+                                   for cls in oracle), tri
+        _check_representatives(tri, 4, dec, oracle)
         for cls in dec.classes:
             assert (cls.residue is None) != tri.is_three_colorable(), tri
-            assert canonicalize(cls.representative) == cls.representative
-    # other q: a class has one state per first-appearance relabeling in
-    # the labeled class of its representative
     cases = [(tri, q) for q, max_n in ((3, 10), (5, 9))
              for tri in SMALL_TORI if tri.n <= max_n]
     assert len(cases) == 30
     for tri, q in cases:
-        oracle = brute_force_kempe_classes(tri, q)
-        where = {c: i for i, cls in enumerate(oracle) for c in cls}
         dec = kempe_classes(tri, q)
-        matched = {where[tuple(cls.representative.colors)]
-                   for cls in dec.classes}
-        assert len(matched) == dec.num_classes == len(oracle), (tri, q)
+        _check_representatives(tri, q, dec, brute_force_kempe_classes(tri, q))
         for cls in dec.classes:
-            members = oracle[where[tuple(cls.representative.colors)]]
-            assert cls.size == len(set(map(first_appearance, members))), \
-                (tri, q)
             assert cls.residue is None and cls.degree_abs_counts == {}
-            assert canonicalize(cls.representative) == cls.representative
+
+
+def test_kempe_move_outside_universe_is_a_bug(monkeypatch):
+    real = PackedKempe.neighbor_keys
+    # keys are never negative, so -1 is no enumerated state
+    monkeypatch.setattr(PackedKempe, "neighbor_keys",
+                        lambda self, key: real(self, key) + [-1])
+    with pytest.raises(AssertionError, match="left the enumerated state"):
+        kempe_classes(build(3, 3, 0), 4)
+    assert main(["classes", "--tri", "T(3,3,0)"]) == 1
 
 
 def test_kempe_classes_budget():
