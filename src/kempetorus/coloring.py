@@ -199,8 +199,9 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
             else:
                 stack.pop()
                 i -= 1
-                if i < 0:
-                    break  # exhausted: restart with fresh randomness
+                if i < 0:  # the whole tree is exhausted within budget
+                    raise ValueError(
+                        f"{tri.descriptor()} has no proper {q}-coloring")
                 colors[i] = 0
         if i == n:
             return Coloring(tri, q, bytes(colors))

@@ -51,35 +51,42 @@ class DegreeReport:
                 "mod6": self.mod6, "mod12": self.mod12}
 
 
-def _orient_sign(a: int, b: int, c: int, positive: tuple[int, int, int]) -> int:
-    if (a, b, c) == positive or (b, c, a) == positive or (c, a, b) == positive:
-        return 1
-    return -1
+def sign_table(base: int, target=(1, 2, 3)) -> list[int]:
+    """Sign of a face colored (a,b,c) clockwise, at index (a*base + b)*base + c.
+
+    +1 when (a,b,c) is a rotation of the target's orientation, -1 when it
+    is a rotation of the reverse, 0 otherwise (a color off the target,
+    including 0, or a repeated color).  Colors must be below `base`.
+    """
+    positive = TARGET_ORIENTATIONS.get(frozenset(target))
+    if positive is None:
+        raise ValueError(f"target {target} is not a triangle of the tetrahedron")
+    x, y, z = positive
+    table = [0] * base ** 3
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        table[(a * base + b) * base + c] = 1
+        table[(a * base + c) * base + b] = -1
+    return table
+
+
+# colors 0..4, where 0 is an uncolored vertex
+_FACE_SIGNS = {tset: sign_table(5, tset) for tset in TARGET_ORIENTATIONS}
 
 
 def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
                        ) -> tuple[int, int]:
     """(p, n) over all faces.
 
-    Accepts raw color sequences; faces containing a 0 (uncolored vertex)
-    are skipped, which is what partial-degree monitoring needs.
+    Accepts raw color sequences of colors 0..4; a face containing a 0
+    (uncolored vertex) counts for neither, as partial degrees need.
     """
-    tset = frozenset(target)
-    if len(tset) != 3 or not tset <= {1, 2, 3, 4}:
-        raise ValueError(f"target {target} is not a triangle of the tetrahedron")
-    positive = TARGET_ORIENTATIONS[tset]
-    p = n = 0
-    for va, vb, vc in tri.faces:
-        a, b, c = colors[va], colors[vb], colors[vc]
-        if a == b or b == c or a == c:
-            continue
-        if {a, b, c} != tset:
-            continue
-        if _orient_sign(a, b, c, positive) > 0:
-            p += 1
-        else:
-            n += 1
-    return p, n
+    # only a bad target misses the cache, and sign_table rejects it
+    sign = _FACE_SIGNS.get(frozenset(target)) or sign_table(5, target)
+    if min(colors) < 0 or max(colors) > 4:
+        raise ValueError("face colors must lie in 0..4 (0 = uncolored)")
+    signs = [sign[(colors[a] * 5 + colors[b]) * 5 + colors[c]]
+             for a, b, c in tri.faces]
+    return signs.count(1), signs.count(-1)
 
 
 def partial_degree(tri: Triangulation, colors) -> int:

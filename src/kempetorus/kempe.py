@@ -53,6 +53,15 @@ def kempe_components(tri: Triangulation, c: Coloring, a: int, b: int
     return comps
 
 
+def swap(c: Coloring, a: int, b: int, comps) -> Coloring:
+    """Swap colors a,b on every vertex of the given K-components."""
+    out = bytearray(c.colors)
+    for comp in comps:
+        for v in comp:
+            out[v] = b if out[v] == a else a
+    return c.with_colors(out)
+
+
 def kempe_change(tri: Triangulation, c: Coloring, move: KempeMove) -> Coloring:
     """Swap colors a,b on one K-component; an involution, preserves properness."""
     comps = kempe_components(tri, c, move.a, move.b)
@@ -60,10 +69,7 @@ def kempe_change(tri: Triangulation, c: Coloring, move: KempeMove) -> Coloring:
         raise ValueError(
             f"component is not a K-component of the coloring for pair "
             f"({move.a},{move.b})")
-    out = bytearray(c.colors)
-    for v in move.component:
-        out[v] = move.b if out[v] == move.a else move.a
-    return c.with_colors(out)
+    return swap(c, move.a, move.b, [move.component])
 
 
 def apply_moves(tri: Triangulation, c: Coloring, moves) -> Coloring:
@@ -80,13 +86,8 @@ def wsk_step(tri: Triangulation, c: Coloring, rng) -> Coloring:
     """
     pairs = [(a, b) for a in range(1, c.q + 1) for b in range(a + 1, c.q + 1)]
     a, b = pairs[rng.randrange(len(pairs))]
-    comps = kempe_components(tri, c, a, b)
-    out = bytearray(c.colors)
-    for comp in comps:
-        if rng.random() < 0.5:
-            for v in comp:
-                out[v] = b if out[v] == a else a
-    return c.with_colors(out)
+    return swap(c, a, b, [comp for comp in kempe_components(tri, c, a, b)
+                          if rng.random() < 0.5])
 
 
 def wsk_trajectory(tri: Triangulation, c: Coloring, steps: int, rng):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, is_proper
 from .degree import degree
-from .kempe import KempeMove, kempe_components
+from .kempe import KempeMove, kempe_components, swap
 from .lattice import Triangulation
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -191,11 +191,7 @@ def _swap_region(tri: Triangulation, c: Coloring, interior: set,
             raise AssertionError(
                 "Kempe component crosses a two-colored region boundary: bug")
         moves.append(KempeMove(k, l, comp))
-    out = bytearray(c.colors)
-    for move in moves:
-        for v in move.component:
-            out[v] = l if out[v] == k else k
-    return c.with_colors(out), moves
+    return swap(c, k, l, [move.component for move in moves]), moves
 
 
 def _disk_surgery(tri, c, cycle: NsCycle):

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, three_coloring
-from .degree import TARGET_ORIENTATIONS, _orient_sign, degree
+from .degree import degree, sign_table
 from .lattice import Triangulation
 
 
@@ -73,16 +73,6 @@ def _pins(tri: Triangulation) -> dict[int, int]:
     return {v: 1, e: 2, ne: 3}
 
 
-def _sign_table(base: int) -> list[int]:
-    """Sign of a face colored (a,b,c) clockwise against the target {1,2,3},
-    at index (a*base + b)*base + c; 0 for faces off the target."""
-    positive = TARGET_ORIENTATIONS[frozenset((1, 2, 3))]
-    table = [0] * base ** 3
-    for a, b, c in itertools.permutations(positive):
-        table[(a * base + b) * base + c] = _orient_sign(a, b, c, positive)
-    return table
-
-
 def _dfs(tri, q, colors, start, used_max, budget, sink):
     """Backtracking continuation from vertex `start`; calls sink(colors, deg).
 
@@ -94,7 +84,7 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
     pinned = _pins(tri)
     # colors reach min(q, n), and the pinned face always holds 1, 2 and 3
     base = max(3, min(q, n)) + 1
-    sign = _sign_table(base)
+    sign = sign_table(base)
     nodes = 0
     limit = budget if budget is not None else float("inf")
 

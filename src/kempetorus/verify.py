@@ -112,7 +112,8 @@ def criterion_5():
                    "; ".join(problems) or f"degrees {degrees}")
 
 
-def criterion_6(steps: int = 10_000, seed: int = 20240601):
+def criterion_6():
+    steps, seed = 10_000, 20240601
     t0 = time.perf_counter()
     rng = random.Random(seed)
     sizes = [(L, M) for L in range(1, 5) for M in range(1, 5)]
@@ -136,7 +137,8 @@ def criterion_6(steps: int = 10_000, seed: int = 20240601):
                    "; ".join(problems) or f"{done} steps checked")
 
 
-def criterion_7(samples: int = 1000, seed: int = 987):
+def criterion_7():
+    samples, seed = 1000, 987
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tris = [build(r, s, t) for (r, s, t) in
@@ -162,8 +164,8 @@ def criterion_7(samples: int = 1000, seed: int = 987):
                    "; ".join(problems) or f"{samples} colorings checked")
 
 
-def criterion_8(zero_samples: int = 200, obstructed_samples: int = 20,
-                seed: int = 555):
+def criterion_8():
+    zero_samples, obstructed_samples, seed = 200, 20, 555
     t0 = time.perf_counter()
     tri = build(6, 6, 0)
     rng = random.Random(seed)
@@ -202,7 +204,8 @@ def criterion_8(zero_samples: int = 200, obstructed_samples: int = 20,
                    f"{zero_samples}+{obstructed_samples} reductions checked")
 
 
-def criterion_9(glues: int = 100, extensions: int = 50, seed: int = 31415):
+def criterion_9():
+    glues, extensions, seed = 100, 50, 31415
     t0 = time.perf_counter()
     rng = random.Random(seed)
     problems = []

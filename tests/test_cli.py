@@ -140,6 +140,19 @@ def test_budget_exit_code_threaded():
             f"error: nodes budget exceeded (limit {budget})"]
 
 
+def test_wsk_without_a_coloring_exits_2():
+    # T(7,1,2) is K7, so `--start auto` picks a random start that cannot exist
+    src = os.path.dirname(os.path.dirname(kempetorus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kempetorus.cli", "wsk", "--tri", "T(7,1,2)",
+         "--steps", "1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: T(7,1,2) has no proper 4-coloring"]
+
+
 def test_report_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run(capsys, "enumerate", "--tri", "T(3,3,0)", "--q", "4",

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import time
 
 import pytest
 
@@ -168,3 +169,11 @@ def test_random_proper_coloring_is_proper():
         tri = build(r, s, t)
         for _ in range(5):
             assert is_proper(tri, random_proper_coloring(tri, 4, rng))
+
+
+def test_random_proper_coloring_reports_no_coloring():
+    # T(7,1,2) is K7: one exhausted search proves it has no 4-coloring
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no proper 4-coloring"):
+        random_proper_coloring(build(7, 1, 2), 4, random.Random(0))
+    assert time.perf_counter() - t0 < 0.5

@@ -69,7 +69,21 @@ def test_degree_matches_naive_oracle():
         tri = build(r, s, t)
         for _ in range(10):
             c = random_proper_coloring(tri, 4, rng)
-            assert degree(tri, c).degree == naive_degree(tri, c.colors)
+            want = naive_degree(tri, c.colors)
+            assert degree(tri, c).degree == want
+            for target in TARGETS:
+                p, n = face_degree_counts(tri, c.colors, target)
+                assert p - n == want, target
+            # uncolored vertices (0) take their faces out of the count
+            partial = bytearray(c.colors)
+            for v in rng.sample(range(tri.n), tri.n // 3):
+                partial[v] = 0
+            p, n = face_degree_counts(tri, partial)
+            assert p - n == naive_degree(tri, partial)
+    bad = bytearray(c.colors)
+    bad[0] = 5
+    with pytest.raises(ValueError):
+        face_degree_counts(tri, bad)
 
 
 def test_target_triangle_independence():
