@@ -9,18 +9,17 @@ the non-singular structure laws behind it.
 """
 
 from .lattice import Triangulation, build, is_three_colorable, parse_descriptor
-from .coloring import (Coloring, canonicalize, coloring_from_rows,
-                       expand_row_pattern, is_proper, load_grid,
-                       nonsingular_coloring, parse_row_pattern,
+from .coloring import (BudgetExceeded, Coloring, canonicalize,
+                       coloring_from_rows, expand_row_pattern, is_proper,
+                       load_grid, nonsingular_coloring, parse_row_pattern,
                        random_proper_coloring, read_grid, save_grid,
                        three_coloring, write_grid)
 from .degree import (DegreeReport, degree, degree_residue_checks,
                      max_degree_bound, partial_degree, tutte_parity)
 from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,
                     wsk_trajectory)
-from .statespace import (BudgetExceeded, ClassDecomposition,
-                         EnumerationResult, class_of, enumerate_colorings,
-                         kempe_classes)
+from .statespace import (ClassDecomposition, EnumerationResult, class_of,
+                         enumerate_colorings, kempe_classes)
 from .construct import (ConstructionTrace, build_strip, construct_deg6,
                         construct_deg6_symmetric, extend_periodic, glue_strip,
                         strip_rows)

@@ -18,14 +18,15 @@ import sys
 import time
 
 from . import verify as verify_mod
-from .coloring import (Coloring, load_grid, nonsingular_coloring,
-                       random_proper_coloring, three_coloring, write_grid)
+from .coloring import (BudgetExceeded, Coloring, load_grid,
+                       nonsingular_coloring, random_proper_coloring,
+                       three_coloring, write_grid)
 from .construct import construct_deg6, construct_deg6_symmetric
 from .degree import degree
 from .kempe import wsk_trajectory
 from .lattice import parse_descriptor
 from .nonsingular import check_ns_minimal_structure, ns_minimal_reduce
-from .statespace import BudgetExceeded, enumerate_colorings, kempe_classes
+from .statespace import enumerate_colorings, kempe_classes
 
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2

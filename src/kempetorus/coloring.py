@@ -17,6 +17,16 @@ from dataclasses import dataclass
 from .lattice import Triangulation, build
 
 
+class BudgetExceeded(RuntimeError):
+    def __init__(self, kind: str, limit):
+        super().__init__(f"{kind} budget exceeded (limit {limit})")
+        self.kind = kind
+        self.limit = limit
+
+    def __reduce__(self):  # pool workers send it back pickled
+        return type(self), (self.kind, self.limit)
+
+
 @dataclass(frozen=True)
 class Coloring:
     tri: Triangulation
@@ -174,7 +184,8 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
     """Uniformly random-ish proper q-coloring via randomized backtracking.
 
     Not uniform over colorings; used for seeding dynamics and property
-    sweeps where only properness matters.
+    sweeps where only properness matters.  Raises BudgetExceeded when all
+    1000 restarts run out of their node budget.
     """
     if q < 4:
         raise ValueError("randomized search is only supported for q >= 4")
@@ -205,7 +216,7 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
                 colors[i] = 0
         if i == n:
             return Coloring(tri, q, bytes(colors))
-    raise RuntimeError(f"found no proper {q}-coloring of {tri.descriptor()}")
+    raise BudgetExceeded(f"{tri.descriptor()} random-start restarts", 1000)
 
 
 # Grid file format: header "T r s t q", then s lines of r digits, row y=1 first.

@@ -1,17 +1,25 @@
 """Non-singular edge structure of 4-colorings.
 
 An edge xy with flanking triangles xyz and xyw is singular when z and w
-receive the same color and non-singular otherwise.  For each unordered
-color pair {i,j}, the non-singular edges whose endpoints are colored i
-and j form N_ij, a disjoint union of cycles; every cycle has a homotopy
-type (a,b) on the torus (winding numbers along the two fundamental
-loops, twist crossings included) and is contractible iff (a,b) = (0,0).
+receive the same color and non-singular otherwise; classify_edges is the
+only code that applies this rule.  For each unordered color pair {i,j},
+the non-singular edges whose endpoints are colored i and j form N_ij, a
+disjoint union of cycles; every cycle has a homotopy type (a,b) on the
+torus (winding numbers along the two fundamental loops, twist crossings
+included) and is contractible iff (a,b) = (0,0).
 
-ns_minimal_reduce eliminates non-singular structure by color swaps on
-disk and cylinder regions bounded by N_ij cycles.  Each surgery is a set
-of Kempe changes, strictly shrinks N(f), and never creates non-singular
-edges outside the previous N(f); the loop stops when every nonempty N_ij
-is a single non-contractible cycle (an NS-minimal coloring).
+ns_minimal_reduce eliminates non-singular structure by one surgery: cut
+the faces along one contractible N_ij cycle, or along two disjoint
+(hence homotopic) cycles of one N_ij, and swap the two other colors on
+one side.  One cycle leaves a disk (Euler characteristic chi = 1) and a
+punctured torus (chi = -1), two cycles leave two cylinders (chi = 0);
+the disk, or the smaller cylinder, is swapped.  A side with I interior
+vertices and F faces, cut along cycles of B vertices in all, has B
+boundary edges and (3F - B)/2 interior ones, so chi = I + (B - F)/2.
+Each surgery is a set of Kempe changes, strictly shrinks N(f), and
+never creates non-singular edges outside the previous N(f); the loop
+stops when every nonempty N_ij is a single non-contractible cycle (an
+NS-minimal coloring).
 """
 
 from __future__ import annotations
@@ -87,17 +95,13 @@ def _cycle_homotopy(tri: Triangulation, vertices) -> tuple[int, int]:
     return _sign_canonical((dx - b * tri.t) // tri.r, b)
 
 
-def ns_cycles(tri: Triangulation, c: Coloring, i: int, j: int) -> list[NsCycle]:
-    """Decompose N_ij into vertex-disjoint cycles with homotopy types."""
-    if i == j:
-        raise ValueError("colors must be distinct")
-    pair = (i, j) if i < j else (j, i)
-    col = c.colors
+def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
+    """Walk the edges of one N_ij bucket into cycles, least start first."""
     incident: dict[int, list[int]] = {}
-    for u, v, z, w in tri.edges:
-        if col[z] != col[w] and {col[u], col[v]} == set(pair):
-            incident.setdefault(u, []).append(v)
-            incident.setdefault(v, []).append(u)
+    for eid in edge_ids:
+        u, v = tri.edges[eid][:2]
+        incident.setdefault(u, []).append(v)
+        incident.setdefault(v, []).append(u)
     for v, nb in incident.items():
         if len(nb) != 2:
             raise AssertionError(
@@ -123,8 +127,17 @@ def ns_cycles(tri: Triangulation, c: Coloring, i: int, j: int) -> list[NsCycle]:
     return cycles
 
 
+def ns_cycles(tri: Triangulation, c: Coloring, i: int, j: int) -> list[NsCycle]:
+    """Decompose N_ij into vertex-disjoint cycles with homotopy types."""
+    if i == j:
+        raise ValueError("colors must be distinct")
+    pair = (i, j) if i < j else (j, i)
+    return _cycles(tri, pair, classify_edges(tri, c).nonsingular.get(pair, ()))
+
+
 def all_ns_cycles(tri: Triangulation, c: Coloring) -> dict:
-    return {p: ns_cycles(tri, c, *p) for p in PAIRS}
+    cls = classify_edges(tri, c)
+    return {p: _cycles(tri, p, cls.nonsingular[p]) for p in PAIRS}
 
 
 def algcr(h1, h2) -> int:
@@ -154,34 +167,39 @@ def _face_components(tri: Triangulation, cut_edges: set) -> list[list[int]]:
     return comps
 
 
-def _euler_characteristic(tri: Triangulation, faces) -> int:
-    vs = set()
-    es = set()
-    for f in faces:
-        a, b, c = tri.faces[f]
-        vs.update((a, b, c))
-        es.add(tri.edge_between(a, b))
-        es.add(tri.edge_between(b, c))
-        es.add(tri.edge_between(c, a))
-    return len(vs) - len(es) + len(faces)
+def _surgery(tri: Triangulation, c: Coloring, cycles
+             ) -> tuple[Coloring, list[KempeMove]]:
+    """Swap the two colors off the cycles' pair on one side of their cut.
 
-
-def _region_vertices(tri: Triangulation, faces) -> set:
-    out = set()
-    for f in faces:
-        out.update(tri.faces[f])
-    return out
-
-
-def _swap_region(tri: Triangulation, c: Coloring, interior: set,
-                 k: int, l: int) -> tuple[Coloring, list[KempeMove]]:
-    """Swap colors k,l on the interior of a region bounded by {i,j} cycles.
-
-    The interior k/l vertices split into whole Kempe components of the
-    k,l subgraph (no component can cross the boundary, which carries
-    neither color), so the swap is a set of K-changes; they are returned
-    as the replayable move log.
+    The side is the one of highest Euler characteristic, then fewest
+    faces, then least face index.  The interior k/l vertices split into
+    whole Kempe components of the k,l subgraph (no component can cross
+    the boundary, which carries neither color), so the swap is a set of
+    K-changes; they are returned as the replayable move log.
     """
+    if len({cy.homotopy for cy in cycles}) != 1:
+        raise AssertionError(
+            "disjoint cycles of one N_ij with unequal homotopy types: bug")
+    cut = {e for cy in cycles for e in cy.edges(tri)}
+    boundary = {v for cy in cycles for v in cy.vertices}
+    comps = _face_components(tri, cut)
+    if len(comps) != 2:
+        raise AssertionError(
+            f"{len(cycles)} N_ij cycle(s) split faces into {len(comps)} "
+            "regions: bug")
+    sides = []
+    for faces in comps:
+        interior = {v for f in faces for v in tri.faces[f]} - boundary
+        # every boundary vertex and edge lies on both sides
+        chi = len(interior) + (len(boundary) - len(faces)) // 2
+        sides.append((-chi, len(faces), min(faces), interior))
+    expected = [-1, 1] if len(cycles) == 1 else [0, 0]
+    if sorted(side[0] for side in sides) != expected:
+        raise AssertionError(
+            f"sides of {len(cycles)} N_ij cycle(s) have Euler characteristics "
+            f"{[-side[0] for side in sides]}: bug")
+    interior = min(sides)[3]
+    k, l = [x for x in (1, 2, 3, 4) if x not in cycles[0].pair]
     moves = []
     for comp in kempe_components(tri, c, k, l):
         inside = comp & interior
@@ -192,37 +210,6 @@ def _swap_region(tri: Triangulation, c: Coloring, interior: set,
                 "Kempe component crosses a two-colored region boundary: bug")
         moves.append(KempeMove(k, l, comp))
     return swap(c, k, l, [move.component for move in moves]), moves
-
-
-def _disk_surgery(tri, c, cycle: NsCycle):
-    cut = set(cycle.edges(tri))
-    comps = _face_components(tri, cut)
-    if len(comps) != 2:
-        raise AssertionError(
-            f"contractible cycle split faces into {len(comps)} regions: bug")
-    disks = [fs for fs in comps if _euler_characteristic(tri, fs) == 1]
-    if len(disks) != 1:
-        raise AssertionError("no unique disk side for a contractible cycle: bug")
-    interior = _region_vertices(tri, disks[0]) - set(cycle.vertices)
-    k, l = [x for x in (1, 2, 3, 4) if x not in cycle.pair]
-    return _swap_region(tri, c, interior, k, l)
-
-
-def _cylinder_surgery(tri, c, c1: NsCycle, c2: NsCycle):
-    if c1.homotopy != c2.homotopy:
-        raise AssertionError(
-            "disjoint cycles of one N_ij with unequal homotopy types: bug")
-    cut = set(c1.edges(tri)) | set(c2.edges(tri))
-    comps = _face_components(tri, cut)
-    if len(comps) != 2:
-        raise AssertionError(
-            f"cycle pair split faces into {len(comps)} regions: bug")
-    # both sides are cylinders; pick the smaller, tie -> least face index
-    comps.sort(key=lambda fs: (len(fs), min(fs)))
-    interior = (_region_vertices(tri, comps[0])
-                - set(c1.vertices) - set(c2.vertices))
-    k, l = [x for x in (1, 2, 3, 4) if x not in c1.pair]
-    return _swap_region(tri, c, interior, k, l)
 
 
 def ns_minimal_reduce(tri: Triangulation, c: Coloring
@@ -252,22 +239,17 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         prev_ns = current
         surgery = None
         for pair in PAIRS:
-            if not cls.nonsingular[pair]:
-                continue
-            cycles = ns_cycles(tri, c, *pair)
+            cycles = _cycles(tri, pair, cls.nonsingular[pair])
             contractible = [cy for cy in cycles if cy.contractible]
             if contractible:
-                surgery = ("disk", contractible[0])
+                surgery = contractible[:1]
                 break
             if len(cycles) >= 2 and surgery is None:
-                surgery = ("cylinder", cycles[0], cycles[1])
+                surgery = cycles[:2]
                 # keep scanning: a contractible cycle elsewhere takes priority
         if surgery is None:
             return c, log
-        if surgery[0] == "disk":
-            c, moves = _disk_surgery(tri, c, surgery[1])
-        else:
-            c, moves = _cylinder_surgery(tri, c, surgery[1], surgery[2])
+        c, moves = _surgery(tri, c, surgery)
         log.extend(moves)
     raise AssertionError("reduction exceeded the |E| surgery bound: bug")
 

@@ -29,19 +29,9 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, three_coloring
-from .degree import degree, sign_table
+from .coloring import BudgetExceeded, Coloring, three_coloring
+from .degree import degree_residue_checks, sign_table
 from .lattice import Triangulation
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, kind: str, limit):
-        super().__init__(f"{kind} budget exceeded (limit {limit})")
-        self.kind = kind
-        self.limit = limit
-
-    def __reduce__(self):  # pool workers send it back pickled
-        return type(self), (self.kind, self.limit)
 
 
 @dataclass
@@ -474,12 +464,8 @@ def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
     Distinct residues imply distinct classes on 3-colorable tori.  With
     `certify`, a bounded BFS checks reachability of the 3-coloring.
     """
-    if not tri.is_three_colorable():
-        raise ValueError(f"{tri.descriptor()} is not three-colorable")
-    rep = degree(tri, c)
-    residue = rep.degree % 12
-    out = {"residue": residue,
-           "label": "ergodic-class" if residue == 0 else "obstructed-class",
+    checks = degree_residue_checks(tri, c)
+    out = {"residue": checks["mod12"], "label": checks["label"],
            "certified_with_three_coloring": None}
     if certify:
         engine = PackedKempe(tri, c.q)

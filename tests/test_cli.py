@@ -1,9 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import types
 
 import kempetorus
+from kempetorus import cli
 from kempetorus.cli import main
 from kempetorus.coloring import load_grid
 from kempetorus.fixtures import load_fixture
@@ -151,6 +154,20 @@ def test_wsk_without_a_coloring_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: T(7,1,2) has no proper 4-coloring"]
+
+
+def test_wsk_out_of_random_restarts_exits_3(capsys, monkeypatch):
+    class NoShuffle(random.Random):
+        def shuffle(self, x):
+            pass
+
+    # unshuffled, every restart repeats one search that runs out of nodes
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=NoShuffle))
+    code = main(["wsk", "--tri", "T(5,2,1)", "--start", "random",
+                 "--steps", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: T(5,2,1) random-start restarts budget exceeded (limit 1000)"]
 
 
 def test_report_out_file(tmp_path, capsys):

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from kempetorus.coloring import (Coloring, canonicalize, coloring_from_rows,
-                                 expand_row_pattern, is_proper,
-                                 nonsingular_coloring, parse_row_pattern,
-                                 random_proper_coloring, read_grid,
-                                 three_coloring, write_grid)
+import kempetorus
+from kempetorus.coloring import (BudgetExceeded, Coloring, canonicalize,
+                                 coloring_from_rows, expand_row_pattern,
+                                 is_proper, nonsingular_coloring,
+                                 parse_row_pattern, random_proper_coloring,
+                                 read_grid, three_coloring, write_grid)
 from kempetorus.fixtures import load_fixture
 from kempetorus.lattice import build
 
@@ -177,3 +178,19 @@ def test_random_proper_coloring_reports_no_coloring():
     with pytest.raises(ValueError, match="no proper 4-coloring"):
         random_proper_coloring(build(7, 1, 2), 4, random.Random(0))
     assert time.perf_counter() - t0 < 0.5
+
+
+class NoShuffle(random.Random):
+    def shuffle(self, x):
+        pass
+
+
+def test_random_proper_coloring_out_of_restarts_is_a_budget_error():
+    # unshuffled, every restart repeats one search that runs out of nodes
+    with pytest.raises(BudgetExceeded) as info:
+        random_proper_coloring(build(9, 6, 0), 4, NoShuffle(0))
+    assert isinstance(info.value, RuntimeError)
+    assert str(info.value) == (
+        "T(9,6,0) random-start restarts budget exceeded (limit 1000)")
+    assert (kempetorus.BudgetExceeded is BudgetExceeded
+            and kempetorus.statespace.BudgetExceeded is BudgetExceeded)

@@ -7,6 +7,8 @@ import pytest
 from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
+from kempetorus.degree import degree_residue_checks
+from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import KempeMove, kempe_change, kempe_components
 from kempetorus.lattice import NotSimpleError, build
 from kempetorus.statespace import (BudgetExceeded, PackedKempe, class_of,
@@ -239,6 +241,19 @@ def test_class_of_t99_witness():
     c, _ = construct_deg6_symmetric(3)
     rec = class_of(c.tri, c)
     assert rec["residue"] == 6 and rec["label"] == "obstructed-class"
+
+
+def test_class_of_takes_the_residue_rule_from_degree():
+    for name in ("t66_ns", "t66_swap_row2", "t99_deg6", "t622_ns"):
+        c = load_fixture(name)
+        checks = degree_residue_checks(c.tri, c)
+        rec = class_of(c.tri, c)
+        assert (rec["residue"], rec["label"]) == (checks["mod12"],
+                                                  checks["label"])
+    tri = build(4, 4, 0)
+    c = random_proper_coloring(tri, 4, random.Random(0))
+    with pytest.raises(ValueError, match=r"T\(4,4,0\) is not three-colorable"):
+        class_of(tri, c)
 
 
 def test_histogram_sums_to_total():
