@@ -3,8 +3,9 @@
 Every subcommand emits a RunReport JSON object (stdout, or --out) whose
 payload is reproducible bit-exactly from the same parameters and seed;
 wall time and node counters live outside the payload.  `wsk` emits CSV
-instead.  Exit codes: 0 ok, 1 invariant violation, 2 usage error,
-3 budget exceeded.
+instead.  Exit codes: 0 ok, 1 invariant violation, 2 usage error
+(bad counts and unreadable or unwritable files included), 3 budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def _start_coloring(tri, start, seed):
 
 
 def cmd_wsk(args):
+    if args.steps < 0:
+        raise ValueError("--steps must be at least 0")
     tri = parse_descriptor(args.tri)
     start = args.start
     if start == "auto":
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

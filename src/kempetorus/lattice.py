@@ -103,6 +103,19 @@ class Triangulation:
         qy, ry = divmod(y - 1, self.s)
         return (x - 1 + qy * self.t) % self.r + ry * self.r
 
+    def winding(self, dx: int, dy: int) -> tuple[int, int]:
+        """Winding numbers (a, b) of a closed walk's total displacement.
+
+        The periods are (r, 0) and (-t, s), since (x, s+1) is (x+t, 1):
+        (dx, dy) = a (r, 0) + b (-t, s).  A displacement that is not a
+        period raises ValueError.
+        """
+        b, ry = divmod(dy, self.s)
+        a, rx = divmod(dx + b * self.t, self.r)
+        if rx or ry:
+            raise ValueError(f"({dx},{dy}) is not a period of {self.descriptor()}")
+        return a, b
+
     def vertex(self, x: int, y: int) -> int:
         """Index of the vertex at coordinates (x, y), 1-based."""
         if not (1 <= x <= self.r and 1 <= y <= self.s):

@@ -5,8 +5,8 @@ receive the same color and non-singular otherwise; classify_edges is the
 only code that applies this rule.  For each unordered color pair {i,j},
 the non-singular edges whose endpoints are colored i and j form N_ij, a
 disjoint union of cycles; every cycle has a homotopy type (a,b) on the
-torus (winding numbers along the two fundamental loops, twist crossings
-included) and is contractible iff (a,b) = (0,0).
+torus (winding numbers along the periods (r,0) and (-t,s), read by
+Triangulation.winding) and is contractible iff (a,b) = (0,0).
 
 ns_minimal_reduce eliminates non-singular structure by one surgery: cut
 the faces along one contractible N_ij cycle, or along two disjoint
@@ -87,12 +87,11 @@ def _cycle_homotopy(tri: Triangulation, vertices) -> tuple[int, int]:
         sx, sy = tri.step_vector[(u, v)]
         dx += sx
         dy += sy
-    if dy % tri.s:
-        raise AssertionError("cycle displacement not a lattice period: bug")
-    b = dy // tri.s
-    if (dx - b * tri.t) % tri.r:
-        raise AssertionError("cycle displacement not a lattice period: bug")
-    return _sign_canonical((dx - b * tri.t) // tri.r, b)
+    try:
+        return _sign_canonical(*tri.winding(dx, dy))
+    except ValueError:
+        raise AssertionError(
+            "cycle displacement not a lattice period: bug") from None
 
 
 def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:

@@ -8,7 +8,10 @@ a proper coloring contains exactly one member with that face so colored);
 colors beyond 3 must first appear in ascending order, which is vacuous for
 q=4.
 The signed degree is maintained incrementally as faces complete, so the
-|degree| histogram costs O(1) per leaf.
+|degree| histogram costs O(1) per leaf.  `_dfs` is the only backtracker:
+with several threads every pool worker runs it once to cut the tree at
+depth min(2r, n), then once more below its own interleaved share of the
+cut, so no result depends on the thread count.
 
 Class decomposition is a BFS over the Kempe graph on canonical states,
 one engine for every q.  A state is keyed by its color masks (bit v is
@@ -43,16 +46,6 @@ class EnumerationResult:
     state_degrees: dict | None = None  # key -> |degree|, if collected
 
 
-def _prepare(tri: Triangulation):
-    n = tri.n
-    back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
-    faces_at = [[] for _ in range(n)]
-    for f in tri.faces:
-        faces_at[max(f)].append(f)
-    faces_at = [tuple(fs) for fs in faces_at]
-    return back, faces_at
-
-
 def _pins(tri: Triangulation) -> dict[int, int]:
     """Vertex -> pinned color on the first face, the up triangle at (1,1).
 
@@ -63,29 +56,29 @@ def _pins(tri: Triangulation) -> dict[int, int]:
     return {v: 1, e: 2, ne: 3}
 
 
-def _dfs(tri, q, colors, start, used_max, budget, sink):
-    """Backtracking continuation from vertex `start`; calls sink(colors, deg).
+def _dfs(tri, q, prefixes, budget, sink, stop=None):
+    """Backtracking below each proper pinned prefix (bytes) in turn.
 
-    `colors` must hold a proper partial assignment of vertices < start.
-    Returns the number of assignments performed (nodes).
+    Calls sink(colors, deg) at depth `stop` (default n) and returns the
+    number of assignments performed below the prefixes (nodes).
     """
     n = tri.n
-    back, faces_at = _prepare(tri)
+    stop = n if stop is None else stop
+    back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
+    faces_at = [[] for _ in range(n)]
+    for f in tri.faces:
+        faces_at[max(f)].append(f)
     pinned = _pins(tri)
     # colors reach min(q, n), and the pinned face always holds 1, 2 and 3
     base = max(3, min(q, n)) + 1
     sign = sign_table(base)
     nodes = 0
     limit = budget if budget is not None else float("inf")
-
-    deg0 = 0
-    for v in range(start):
-        for a, b, c in faces_at[v]:
-            deg0 += sign[(colors[a] * base + colors[b]) * base + colors[c]]
+    colors = bytearray(n)
 
     def rec(v, deg, used_max):
         nonlocal nodes
-        if v == n:
+        if v == stop:
             sink(colors, deg)
             return
         pin = pinned.get(v)
@@ -113,39 +106,15 @@ def _dfs(tri, q, colors, start, used_max, budget, sink):
             rec(v + 1, d, used_max if col <= used_max else col)
         colors[v] = 0
 
-    rec(start, deg0, used_max)
+    for prefix in prefixes:
+        start = len(prefix)
+        colors[:start] = prefix
+        deg = 0
+        for v in range(start):
+            for a, b, c in faces_at[v]:
+                deg += sign[(colors[a] * base + colors[b]) * base + colors[c]]
+        rec(start, deg, max(prefix, default=3))
     return nodes
-
-
-def _collect_prefixes(tri, q, depth):
-    """Proper pinned assignments of vertices [0, depth) for task splitting.
-
-    Returns (prefixes, nodes); `nodes` counts the assignments made here,
-    so that a split search reports the same node total as an unsplit one.
-    """
-    prefixes = []
-    nodes = 0
-    colors = bytearray(tri.n)
-    back, _ = _prepare(tri)
-    pinned = _pins(tri)
-
-    def rec(v, used_max):
-        nonlocal nodes
-        if v == depth:
-            prefixes.append((bytes(colors[:depth]), used_max))
-            return
-        pin = pinned.get(v)
-        lo, hi = (pin, pin) if pin is not None else (1, min(q, used_max + 1))
-        for col in range(lo, hi + 1):
-            if any(colors[w] == col for w in back[v]):
-                continue
-            nodes += 1
-            colors[v] = col
-            rec(v + 1, max(used_max, col))
-        colors[v] = 0
-
-    rec(0, 3)
-    return prefixes, nodes
 
 
 def _least(m: int) -> int:
@@ -282,16 +251,16 @@ class PackedKempe:
         return out
 
 
-def _enum_task(tri, q, budget, collect, task):
-    """Enumerate below one (prefix, used_max) task.
+def _enum_task(tri, q, budget, collect, stripes, stripe):
+    """Enumerate one of `stripes` interleaved parts of the search tree.
 
+    With more than one stripe, the tree is cut at depth min(2r, n) and
+    this part searches below every stripes-th prefix of the cut, from
+    the stripe-th on; only stripe 0 counts the cut's own nodes.
     Returns (total, |degree| histogram, nodes, state degrees).
     """
-    prefix, used_max = task
     n = tri.n
     engine = PackedKempe(tri, q) if collect else None
-    colors = bytearray(n)
-    colors[:len(prefix)] = prefix
     total = 0
     hist: dict[int, int] = {}
     degs: dict[int, int] = {}
@@ -304,7 +273,17 @@ def _enum_task(tri, q, budget, collect, task):
         if collect:
             degs[canonical_packed(engine.label_masks(colors), n)] = d
 
-    nodes = _dfs(tri, q, colors, len(prefix), used_max, budget, sink)
+    if stripes == 1:
+        nodes = _dfs(tri, q, [b""], budget, sink)
+    else:
+        stop = min(2 * tri.r, n)
+        cut = []
+        cut_nodes = _dfs(tri, q, [b""], budget,
+                         lambda colors, deg: cut.append(bytes(colors[:stop])),
+                         stop)
+        nodes = _dfs(tri, q, cut[stripe::stripes], budget, sink)
+        if stripe == 0:
+            nodes += cut_nodes
     return total, hist, nodes, degs
 
 
@@ -314,28 +293,28 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     """Count canonical proper q-colorings; histogram |degree| for q = 4.
 
     `collect` maps the canonical key of every state to its |degree|
-    (meaningful for q = 4), in search order.  With
-    `threads` > 1 the search tree is split at a fixed prefix depth into
-    tasks for a process pool; one thread runs the single empty-prefix
-    task in-process.  Results, node count included, are independent of
-    `threads`.
+    (meaningful for q = 4).  One thread searches the whole tree
+    in-process; with `threads` > 1 each worker of a process pool cuts
+    the tree at depth min(2r, n) and searches below its own interleaved
+    share of the cut.  Results, node count included, are independent of
+    `threads`, and so is whether `budget_nodes` is exceeded.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     t0 = time.perf_counter()
-    task = functools.partial(_enum_task, tri, q, budget_nodes, collect)
-    total = 0
+    task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
+                             threads)
+    total = nodes = 0
     hist: dict[int, int] = {}
     degs = None
     with contextlib.ExitStack() as stack:
         if threads > 1:
-            prefixes, nodes = _collect_prefixes(tri, q, min(2 * tri.r, tri.n))
             pool = stack.enter_context(multiprocessing.Pool(threads))
-            parts = pool.imap_unordered(
-                task, prefixes,
-                chunksize=max(1, len(prefixes) // (8 * threads)))
+            parts = pool.imap_unordered(task, range(threads))
         else:
-            nodes, parts = 0, map(task, [(b"", 3)])
+            parts = map(task, [0])
         for ptotal, phist, pnodes, pdegs in parts:
             total += ptotal
             nodes += pnodes

@@ -120,6 +120,33 @@ def test_usage_error_exit_code(capsys):
     assert main(["build", "--tri", "T(3,2,0)"]) == 2  # not simple
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # a directory cannot be opened for writing
+    for argv in (["build", "--tri", "T(3,3,0)", "--out", str(tmp_path)],
+                 ["construct", "--L", "2", "--grid-out", str(tmp_path)],
+                 ["wsk", "--tri", "T(3,3,0)", "--steps", "1",
+                  "--out", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
+
+
+def test_bad_counts_exit_2(capsys):
+    for argv, msg in (
+            (["enumerate", "--tri", "T(3,3,0)", "--threads", "0"],
+             "threads must be at least 1"),
+            (["enumerate", "--tri", "T(3,3,0)", "--threads", "-2"],
+             "threads must be at least 1"),
+            (["classes", "--tri", "T(3,3,0)", "--threads", "0"],
+             "threads must be at least 1"),
+            (["wsk", "--tri", "T(3,3,0)", "--steps", "-3"],
+             "--steps must be at least 0")):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert out.err.splitlines() == [f"error: {msg}"], argv
+
+
 def test_budget_exit_code(capsys):
     code, _ = run(capsys, "enumerate", "--tri", "T(6,6,0)", "--q", "4",
                   "--budget-nodes", "100")
@@ -128,8 +155,8 @@ def test_budget_exit_code(capsys):
 
 def test_budget_exit_code_threaded():
     # a pool worker exceeding the node budget must not hang the pool or
-    # print a traceback; at 10 nodes the first result back from the pool is
-    # always a worker's budget error, at 2000 it may be the parent's
+    # print a traceback; at 10 nodes the workers' cut of the tree is over
+    # budget, at 2000 their search below it
     src = os.path.dirname(os.path.dirname(kempetorus.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for budget in ("10", "2000"):

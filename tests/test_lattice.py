@@ -122,6 +122,18 @@ def test_twist_wrap_direction():
     assert tri.coords(ne) == (4, 1)
 
 
+def test_winding_uses_the_twisted_period():
+    # the periods of T(6,2,2) are (6, 0) and (-2, 2)
+    tri = build(6, 2, 2)
+    assert tri.winding(6, 0) == (1, 0)
+    assert tri.winding(-2, 2) == (0, 1)
+    assert tri.winding(0, 6) == (1, 3)
+    assert tri.winding(-2, -4) == (-1, -2)
+    for dx, dy in ((2, 2), (0, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            tri.winding(dx, dy)
+
+
 def test_json_dump_roundtrips():
     tri = build(4, 4, 1)
     data = json.loads(tri.to_json())

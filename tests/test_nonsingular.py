@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import apply_moves, wsk_step
-from kempetorus.lattice import build
-from kempetorus.nonsingular import (algcr, all_ns_cycles,
+from kempetorus.lattice import NotSimpleError, build
+from kempetorus.nonsingular import (_cycle_homotopy, algcr, all_ns_cycles,
                                     check_ns_minimal_structure, classify_edges,
                                     ns_cycles, ns_minimal_reduce)
 
@@ -141,6 +142,42 @@ def test_reduce_works_on_t99_witness():
     report = check_ns_minimal_structure(fx.tri, reduced)
     assert not report["trivial"]
     assert report["degree_mod4"] == 2
+
+
+def test_north_cycle_homotopy_on_twisted_tori():
+    # (x, s+1) is (x+t, 1), so a straight walk north closes after r/g
+    # wraps, g = gcd(r, t), with displacement (0, s r/g), which is
+    # (t/g) (r, 0) + (r/g) (-t, s)
+    twisted = 0
+    for r in range(2, 17):
+        for s in range(1, 16 // r + 1):
+            for t in range(1, r):
+                try:
+                    tri = build(r, s, t)
+                except NotSimpleError:
+                    continue
+                walk = [0]
+                while (north := tri.neighbors[walk[-1]][2]) != 0:
+                    walk.append(north)
+                g = math.gcd(r, t)
+                assert len(walk) == s * r // g, tri
+                assert _cycle_homotopy(tri, walk) == (t // g, r // g), tri
+                twisted += 1
+    assert twisted > 10
+    tri = build(6, 2, 2)
+    walk = [0, 6, 2, 8, 4, 10]  # three wraps, displacement (0, 6)
+    assert _cycle_homotopy(tri, walk) == (1, 3)
+
+
+@pytest.mark.parametrize("rst", [(12, 6, 3), (6, 7, 1), (6, 4, 1)])
+def test_reduce_twisted_random_starts(rst):
+    # the twisted period enters every non-contractible cycle's homotopy
+    tri = build(*rst)
+    for seed in range(20):
+        c = random_proper_coloring(tri, 4, random.Random(seed))
+        reduced, log = ns_minimal_reduce(tri, c)
+        check_ns_minimal_structure(tri, reduced)
+        assert apply_moves(tri, c, log).colors == reduced.colors, seed
 
 
 def test_reduce_requires_three_colorable():

@@ -67,7 +67,7 @@ GOLDEN = {
     "t1212_deg6": "36c0db9992d0fa0a3312fabc26fdea0a888ef1599a02a4b14f8de583d994e6f6",
     "t1515_deg6": "8081364be48f90579961c20f47ffbfd577420dda8122e54b7b373860b722ec12",
     "t1818_deg6": "cd1c6a2ee59139d00f31b4fa592d2be09c090dac6040c10098833036b3361fef",
-    "t622_ns": "803b07ad454f46ffea1bad35776dfe3f3834250dfccff2694da50a86d81f2c4a",
+    "t622_ns": "0a0fb831a9e435ab2b62c2a9051383f593b4b7379756d98160583746b6b4901c",
     "T(6,6,0)/three/1": "5fa4e013ee0fc860a7fc97bacf4b2f69cfcd2e7584af19eeca128817a1d6fa76",
     "T(6,6,0)/three/2": "7e1bccd3f72aa5ea2a7c3e085917d991561c53ca2be0d17e6b2aaafec96a1a00",
     "T(6,6,0)/three/3": "64744d71d25edd2bb13cd45d5e62f83c7a710cd4634e76dbdde30e49b79e049f",

@@ -96,13 +96,45 @@ def test_budget_exceeded_pickles():
 
 
 def test_enumeration_threads_equivalence():
-    tri = build(6, 3, 0)
-    solo = enumerate_colorings(tri, 4, collect=True)
-    multi = enumerate_colorings(tri, 4, collect=True, threads=2)
-    assert solo.nodes == multi.nodes
-    assert solo.total == multi.total
-    assert solo.histogram == multi.histogram
-    assert solo.state_degrees == multi.state_degrees
+    # T(3,8,2) is cut into 4 prefixes, so one of its 5 stripes is empty
+    cases = {(6, 3, 0): (2,), (9, 3, 0): (2, 3), (9, 3, 3): (2, 3),
+             (3, 8, 2): (5,)}
+    for rst, thread_counts in cases.items():
+        tri = build(*rst)
+        solo = enumerate_colorings(tri, 4, collect=True)
+        for threads in thread_counts:
+            multi = enumerate_colorings(tri, 4, collect=True, threads=threads)
+            assert solo.nodes == multi.nodes, (rst, threads)
+            assert solo.total == multi.total, (rst, threads)
+            assert solo.histogram == multi.histogram, (rst, threads)
+            assert solo.state_degrees == multi.state_degrees, (rst, threads)
+
+
+def test_uncolorable_torus_threaded():
+    # T(7,1,2) is K7: the cut is empty, yet every part returns a degree map
+    dec = kempe_classes(build(7, 1, 2), 4, threads=2)
+    assert (dec.total, dec.num_classes) == (0, 0)
+
+
+def test_enumeration_budget_boundary():
+    # the budget outcome is exact at every thread count
+    tri = build(6, 5, 2)
+    nodes = enumerate_colorings(tri, 4).nodes
+    assert nodes == 215769
+    for threads in (1, 2):
+        res = enumerate_colorings(tri, 4, budget_nodes=nodes, threads=threads)
+        assert res.nodes == nodes, threads
+        with pytest.raises(BudgetExceeded):
+            enumerate_colorings(tri, 4, budget_nodes=nodes - 1,
+                                threads=threads)
+
+
+def test_enumeration_rejects_bad_thread_counts():
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            enumerate_colorings(build(3, 3, 0), 4, threads=threads)
+        with pytest.raises(ValueError):
+            kempe_classes(build(3, 3, 0), 4, threads=threads)
 
 
 def test_packed_engine_neighbors_match_generic_path():
