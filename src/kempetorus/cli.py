@@ -231,7 +231,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--q", type=int, default=4)
         if budget:
             p.add_argument("--budget-nodes", type=int)
-            p.add_argument("--budget-mem", type=float, metavar="MB")
             p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("build", help="construct T(r,s,t), dump tables")
@@ -244,6 +243,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="decompose into Kempe classes")
     common(p, tri=True, q=True, budget=True)
+    p.add_argument("--budget-mem", type=float, metavar="MB")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("construct", help="build a degree-6 (mod 12) witness")

@@ -52,9 +52,6 @@ class _DiagonalBuilder:
         self.trace = ConstructionTrace()
         self._pending: list[int] = []
 
-    def color_at(self, x: int, y: int) -> int:
-        return self.colors[self.tri.vertex(x, y)]
-
     def admissible(self, v: int, pool) -> list[int]:
         cols = self.colors
         nbrs = self.tri.neighbors[v]
@@ -70,28 +67,39 @@ class _DiagonalBuilder:
                 f"{source or 'assignment'} at ({x},{y}) breaks properness")
         self.colors[v] = color
 
-    def forced(self, x: int, y: int, pool) -> int:
-        v = self.tri.vertex(x, y)
-        cand = self.admissible(v, pool)
+    def choice(self, x: int, y: int, pool) -> int:
+        """The one color of pool admissible at (x, y)."""
+        cand = self.admissible(self.tri.vertex(x, y), pool)
         if len(cand) != 1:
             raise ConstructionError(
                 f"unique choice failed at ({x},{y}): {len(cand)} colors "
                 f"admissible from {tuple(pool)}")
-        self.colors[v] = cand[0]
         return cand[0]
 
-    def fill(self, j: int, pool, skip=()) -> None:
-        """Color every uncolored vertex on Dj with its unique choice from pool."""
+    def forced(self, x: int, y: int, pool) -> int:
+        c = self.choice(x, y, pool)
+        self.put(x, y, c, source="unique choice")
+        return c
+
+    def paint(self, j: int, rule, source: str, skip=()) -> None:
+        """Color every uncolored vertex of Dj outside skip with rule(x, y),
+        and list Dj in the current trace step."""
         skip_v = {self.tri.vertex(x, y) for x, y in skip}
         for v in self.tri.counter_diagonal(j):
             if self.colors[v] or v in skip_v:
                 continue
             x, y = self.tri.coords(v)
-            self.forced(x, y, pool)
+            self.put(x, y, rule(x, y), source=source)
         self._pending.append(j)
 
-    def mark(self, j: int) -> None:
-        self._pending.append(j)
+    def fill(self, j: int, pool, skip=()) -> None:
+        """Color every uncolored vertex on Dj with its unique choice from pool."""
+        self.paint(j, lambda x, y: self.choice(x, y, pool),
+                   f"D{j} unique choice", skip)
+
+    def count(self, j: int, color: int) -> int:
+        return sum(1 for v in self.tri.counter_diagonal(j)
+                   if self.colors[v] == color)
 
     def checkpoint(self, label: str, expect=None) -> int:
         deg = partial_degree(self.tri, self.colors)
@@ -110,13 +118,6 @@ class _DiagonalBuilder:
             raise ConstructionError("constructed coloring is not proper")
         return c
 
-    def seed_diagonal(self, j: int, rule) -> None:
-        """Explicitly color all of Dj; rule(x, y) -> color."""
-        for v in self.tri.counter_diagonal(j):
-            x, y = self.tri.coords(v)
-            self.put(x, y, rule(x, y), source=f"seed D{j}")
-        self._pending.append(j)
-
     def ranged_diagonal(self, j: int, pool, group1, group2, lo, hi) -> None:
         """Two forced vertex groups taking opposite colors of `pool`, then
         an explicit x-range rule: lo <= x <= hi gets group2's color, the
@@ -128,12 +129,8 @@ class _DiagonalBuilder:
             self.put(x, y, c1, source=f"D{j} forced group")
         for x, y in group2:
             self.put(x, y, c2, source=f"D{j} forced group")
-        for v in self.tri.counter_diagonal(j):
-            if self.colors[v]:
-                continue
-            x, y = self.tri.coords(v)
-            self.put(x, y, c2 if lo <= x <= hi else c1, source=f"D{j} range rule")
-        self._pending.append(j)
+        self.paint(j, lambda x, y: c2 if lo <= x <= hi else c1,
+                   f"D{j} range rule")
 
 
 def _case_l_eq_2():
@@ -149,8 +146,8 @@ def _case_4k_minus_1(k: int):
     M = 12 * k - 3
     b = _DiagonalBuilder(build(M, M, 0))
 
-    b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k - 1 else 2)
-    b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 1 <= x <= 9 * k - 1 else 4)
+    b.paint(1, lambda x, y: 1 if x <= 6 * k - 1 else 2, "seed D1")
+    b.paint(2, lambda x, y: 3 if 3 * k + 1 <= x <= 9 * k - 1 else 4, "seed D2")
     b.fill(M, (3, 4))
     b.fill(3, (1, 2))
     b.fill(M - 1, (1, 2))
@@ -181,8 +178,8 @@ def _case_4k(k: int):
     M = 12 * k
     b = _DiagonalBuilder(build(M, M, 0))
 
-    b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k else 2)
-    b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 2 <= x <= 9 * k + 1 else 4)
+    b.paint(1, lambda x, y: 1 if x <= 6 * k else 2, "seed D1")
+    b.paint(2, lambda x, y: 3 if 3 * k + 2 <= x <= 9 * k + 1 else 4, "seed D2")
     b.fill(M, (3, 4))
     b.fill(3, (1, 2))
     b.fill(M - 1, (1, 2))
@@ -212,12 +209,8 @@ def _case_4k(k: int):
     if ca != ca2 or cb != cb2 or ca == cb:
         raise ConstructionError("forced 1/2 vertices on the middle diagonal "
                                 "do not pair up as the ledger requires")
-    for v in b.tri.counter_diagonal(6 * k):
-        if b.colors[v]:
-            continue
-        x, y = b.tri.coords(v)
-        b.put(x, y, ca if x < 6 * k else cb, source="middle diagonal rule")
-    b.mark(6 * k)
+    b.paint(6 * k, lambda x, y: ca if x < 6 * k else cb,
+            "middle diagonal rule")
     # D(6k+1): unique 3/4 everywhere except two free vertices, fixed explicitly
     b.put(1, 6 * k, 4, source="free vertex")
     b.put(6 * k + 1, 12 * k, 3, source="free vertex")
@@ -237,8 +230,8 @@ def _case_4k_plus_1(k: int):
     M = 12 * k + 3
     b = _DiagonalBuilder(build(M, M, 0))
 
-    b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k + 2 else 2)
-    b.seed_diagonal(2, lambda x, y: 3 if 3 * k + 3 <= x <= 9 * k + 3 else 4)
+    b.paint(1, lambda x, y: 1 if x <= 6 * k + 2 else 2, "seed D1")
+    b.paint(2, lambda x, y: 3 if 3 * k + 3 <= x <= 9 * k + 3 else 4, "seed D2")
     b.fill(M, (3, 4))
     b.fill(3, (1, 2))
     b.fill(5, (1, 2))
@@ -269,45 +262,31 @@ def _case_4k_plus_1(k: int):
     c_range = 3 if k % 2 else 4
     c_other = 7 - c_range
 
-    def parity_diagonal(j, pair1, pair2, lo, hi, count_match=None):
+    def parity_diagonal(j, pair1, pair2, lo, hi, skip=()):
         p1 = b.forced(*pair1[0], (3, 4))
         b.put(*pair1[1], p1, source=f"D{j} forced pair")
         p2 = b.forced(*pair2[0], (3, 4))
         b.put(*pair2[1], p2, source=f"D{j} forced pair")
         if p1 == p2:
             raise ConstructionError(f"forced pairs on D{j} took equal colors")
-        deferred = None
-        for v in b.tri.counter_diagonal(j):
-            if b.colors[v]:
-                continue
-            x, y = b.tri.coords(v)
-            if count_match is not None and (x, y) == count_match:
-                deferred = (x, y)
-                continue
-            b.put(x, y, c_range if lo < x < hi else c_other,
-                  source=f"D{j} parity rule")
-        b.mark(j)
-        return deferred
-
-    def count_threes(j):
-        return sum(1 for v in b.tri.counter_diagonal(j) if b.colors[v] == 3)
+        b.paint(j, lambda x, y: c_range if lo < x < hi else c_other,
+                f"D{j} parity rule", skip)
 
     parity_diagonal(6 * k + 1,
                     ((3 * k + 1, 3 * k), (3 * k, 3 * k + 1)),
                     ((9 * k + 3, 9 * k + 1), (9 * k + 2, 9 * k + 2)),
                     3 * k + 1, 9 * k + 2)
-    target = count_threes(6 * k + 1)
-    deferred = parity_diagonal(6 * k + 4,
-                               ((3 * k + 3, 3 * k + 1), (3 * k + 2, 3 * k + 2)),
-                               ((9 * k + 4, 9 * k + 3), (9 * k + 3, 9 * k + 4)),
-                               3 * k + 3, 9 * k + 3,
-                               count_match=(3 * k + 1, 3 * k + 3))
+    target = b.count(6 * k + 1, 3)
     # the last free vertex balances the 3-counts of the two parity diagonals
-    have = count_threes(6 * k + 4)
-    b.put(*deferred, 3 if have < target else 4, source="count-matching vertex")
-    if count_threes(6 * k + 4) != target:
+    balance = (3 * k + 1, 3 * k + 3)
+    parity_diagonal(6 * k + 4,
+                    ((3 * k + 3, 3 * k + 1), (3 * k + 2, 3 * k + 2)),
+                    ((9 * k + 4, 9 * k + 3), (9 * k + 3, 9 * k + 4)),
+                    3 * k + 3, 9 * k + 3, skip=(balance,))
+    have = b.count(6 * k + 4, 3)
+    b.put(*balance, 3 if have < target else 4, source="count-matching vertex")
+    if b.count(6 * k + 4, 3) != target:
         raise ConstructionError("3-counts of the parity diagonals differ")
-    b.mark(6 * k + 4)
     b.checkpoint("step3", expect=4 + 12 * (k - 1))
 
     b.forced(3 * k, 3 * k + 2, (1, 2))
@@ -321,7 +300,6 @@ def _case_4k_plus_1(k: int):
     b.fill(6 * k + 3, (3, 4), skip=six)
     for x, y in six:
         b.forced(x, y, (1, 2, 3, 4))
-    b.mark(6 * k + 3)
     b.checkpoint("step4", expect=6 + 12 * (k - 1))
     return b.finish(), b.trace
 
@@ -332,8 +310,8 @@ def _case_4k_minus_2(k: int):
     M = 12 * k - 6
     b = _DiagonalBuilder(build(M, M, 0))
 
-    b.seed_diagonal(1, lambda x, y: 1 if x <= 6 * k - 3 else 2)
-    b.seed_diagonal(2, lambda x, y: 3 if 3 * k <= x <= 9 * k - 4 else 4)
+    b.paint(1, lambda x, y: 1 if x <= 6 * k - 3 else 2, "seed D1")
+    b.paint(2, lambda x, y: 3 if 3 * k <= x <= 9 * k - 4 else 4, "seed D2")
     b.fill(M, (3, 4))
     b.fill(3, (1, 2))
     b.fill(12 * k - 7, (1, 2))
@@ -369,26 +347,21 @@ def _case_4k_minus_2(k: int):
     b.checkpoint("step3", expect=4 + 12 * (k - 2))
 
     # D(6k-4): the color is read off the vertex directly below
-    for v in b.tri.counter_diagonal(6 * k - 4):
-        x, y = b.tri.coords(v)
-        below = b.color_at(x, 1 + (y - 2) % M)
+    def below_rule(x, y):
+        below = b.colors[b.tri.vertex(x, 1 + (y - 2) % M)]
         if below not in (3, 4):
             raise ConstructionError(
                 f"vertex below ({x},{y}) should be colored 3 or 4")
-        b.put(x, y, 1 if below == 4 else 2, source="row-below rule")
-    b.mark(6 * k - 4)
+        return 1 if below == 4 else 2
+
+    b.paint(6 * k - 4, below_rule, "row-below rule")
 
     # D(6k): one forced vertex fixes the out-of-range color, its partner
     # (misprinted in the prose) is recovered as the opposite color
     c2 = b.forced(9 * k - 2, 9 * k - 4, (1, 2))
     c1 = 3 - c2
-    for v in b.tri.counter_diagonal(6 * k):
-        if b.colors[v]:
-            continue
-        x, y = b.tri.coords(v)
-        b.put(x, y, c1 if 3 * k <= x <= 9 * k - 4 else c2,
-              source="middle diagonal rule")
-    b.mark(6 * k)
+    b.paint(6 * k, lambda x, y: c1 if 3 * k <= x <= 9 * k - 4 else c2,
+            "middle diagonal rule")
 
     for x, y in ((3 * k - 1, 3 * k - 2), (9 * k - 4, 9 * k - 5)):
         b.forced(x, y, (3, 4))
@@ -404,25 +377,24 @@ def _case_4k_minus_2(k: int):
     b.fill(6 * k - 1, (3, 4), skip=seven)
     for x, y in seven:
         b.forced(x, y, (1, 2, 3, 4))
-    b.mark(6 * k - 1)
     b.checkpoint("step4", expect=6 + 12 * (k - 2))
     return b.finish(), b.trace
+
+
+def _k(L: int) -> int:
+    """The k of L = 4k-2, 4k-1, 4k or 4k+1."""
+    return (L + 2) // 4
 
 
 def construct_deg6_symmetric(L: int) -> tuple[Coloring, ConstructionTrace]:
     """A proper 4-coloring of T(3L,3L) with degree 6 (mod 12), L >= 2."""
     if L < 2:
         raise ValueError("witnesses exist for L >= 2 only")
-    m = L % 4
-    if m == 2:
-        if L == 2:
-            return _case_l_eq_2()
-        return _case_4k_minus_2((L + 2) // 4)
-    if m == 3:
-        return _case_4k_minus_1((L + 1) // 4)
-    if m == 0:
-        return _case_4k(L // 4)
-    return _case_4k_plus_1((L - 1) // 4)
+    if L == 2:
+        return _case_l_eq_2()
+    case = {2: _case_4k_minus_2, 3: _case_4k_minus_1,
+            0: _case_4k, 1: _case_4k_plus_1}[L % 4]
+    return case(_k(L))
 
 
 def extend_periodic(c: Coloring, p: int, q: int) -> Coloring:
@@ -479,22 +451,9 @@ def strip_rows(L: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     """Row sequences (c1, c2, c3) of the degree-zero strip on T(3L,3)."""
     if L < 3:
         raise ValueError("strips are defined for L >= 3")
-    m = L % 4
-    if m == 3:
-        k = (L + 1) // 4
-        t = (3 * k - 2) // 2
-    elif m == 0:
-        k = L // 4
-        t = (3 * k - 2) // 2
-    elif m == 1:
-        k = (L - 1) // 4
-        t = (3 * k - 2) // 2
-    else:
-        k = (L + 2) // 4
-        if k < 2:
-            raise ValueError("no strip table for L = 2")
-        t = (3 * k - 6) // 2
-    pats = _STRIP_ROWS[m][k % 2]
+    k = _k(L)
+    t = (3 * k - 6) // 2 if L % 4 == 2 else (3 * k - 2) // 2
+    pats = _STRIP_ROWS[L % 4][k % 2]
     subst = {"{t}": str(t), "{t1}": str(t + 1), "{t2}": str(t + 2)}
     rows = []
     for pat in pats:

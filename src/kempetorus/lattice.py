@@ -38,7 +38,6 @@ class Triangulation:
         "edges",            # list of (u, v, apex1, apex2) with u < v
         "edge_index",       # (u, v) sorted pair -> edge id
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
-        "step_vector",      # (u, v) directed edge -> displacement (dx, dy)
     )
 
     def __init__(self, r: int, s: int, t: int):
@@ -48,22 +47,16 @@ class Triangulation:
         self.n = r * s
 
         nbrs = []
-        step = {}
         for v in range(self.n):
             x, y = v % r + 1, v // r + 1
-            row = []
-            for dx, dy in DISPLACEMENTS:
-                w = self._wrap(x + dx, y + dy)
-                row.append(w)
-                step[(v, w)] = (dx, dy)
-            nbrs.append(tuple(row))
+            nbrs.append(tuple(self._wrap(x + dx, y + dy)
+                              for dx, dy in DISPLACEMENTS))
         # simplicity: no loops, no parallel edges
         for v, row in enumerate(nbrs):
             if v in row or len(set(row)) != 6:
                 raise NotSimpleError(
                     f"T({r},{s},{t}) is not a simple 6-regular triangulation")
         self.neighbors = nbrs
-        self.step_vector = step
 
         faces = []
         for v in range(self.n):

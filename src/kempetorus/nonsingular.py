@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .coloring import Coloring, is_proper
 from .degree import degree
 from .kempe import KempeMove, kempe_components, swap
-from .lattice import Triangulation
+from .lattice import DISPLACEMENTS, Triangulation
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -84,7 +84,8 @@ def _cycle_homotopy(tri: Triangulation, vertices) -> tuple[int, int]:
     dx = dy = 0
     for i, u in enumerate(vertices):
         v = vertices[(i + 1) % len(vertices)]
-        sx, sy = tri.step_vector[(u, v)]
+        # the six neighbours of a vertex are distinct on every simple torus
+        sx, sy = DISPLACEMENTS[tri.neighbors[u].index(v)]
         dx += sx
         dy += sy
     try:

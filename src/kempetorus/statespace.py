@@ -10,8 +10,8 @@ q=4.
 The signed degree is maintained incrementally as faces complete, so the
 |degree| histogram costs O(1) per leaf.  `_dfs` is the only backtracker:
 with several threads every pool worker runs it once to cut the tree at
-depth min(2r, n), then once more below its own interleaved share of the
-cut, so no result depends on the thread count.
+depth min(2r, n // 2), then once more below its own interleaved share of
+the cut, so no result depends on the thread count.
 
 Class decomposition is a BFS over the Kempe graph on canonical states,
 one engine for every q.  A state is keyed by its color masks (bit v is
@@ -113,7 +113,8 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
         for v in range(start):
             for a, b, c in faces_at[v]:
                 deg += sign[(colors[a] * base + colors[b]) * base + colors[c]]
-        rec(start, deg, max(prefix, default=3))
+        # the pinned 3 counts as used even if the cut precedes its vertex
+        rec(start, deg, max((3, *prefix)))
     return nodes
 
 
@@ -254,8 +255,8 @@ class PackedKempe:
 def _enum_task(tri, q, budget, collect, stripes, stripe):
     """Enumerate one of `stripes` interleaved parts of the search tree.
 
-    With more than one stripe, the tree is cut at depth min(2r, n) and
-    this part searches below every stripes-th prefix of the cut, from
+    With more than one stripe, the tree is cut at depth min(2r, n // 2)
+    and this part searches below every stripes-th prefix of the cut, from
     the stripe-th on; only stripe 0 counts the cut's own nodes.
     Returns (total, |degree| histogram, nodes, state degrees).
     """
@@ -276,7 +277,7 @@ def _enum_task(tri, q, budget, collect, stripes, stripe):
     if stripes == 1:
         nodes = _dfs(tri, q, [b""], budget, sink)
     else:
-        stop = min(2 * tri.r, n)
+        stop = min(2 * tri.r, n // 2)
         cut = []
         cut_nodes = _dfs(tri, q, [b""], budget,
                          lambda colors, deg: cut.append(bytes(colors[:stop])),
@@ -295,9 +296,10 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     `collect` maps the canonical key of every state to its |degree|
     (meaningful for q = 4).  One thread searches the whole tree
     in-process; with `threads` > 1 each worker of a process pool cuts
-    the tree at depth min(2r, n) and searches below its own interleaved
-    share of the cut.  Results, node count included, are independent of
-    `threads`, and so is whether `budget_nodes` is exceeded.
+    the tree at depth min(2r, n // 2) and searches below its own
+    interleaved share of the cut.  Results, node count included, are
+    independent of `threads`, and so is whether `budget_nodes` is
+    exceeded.
     """
     if q < 2:
         raise ValueError("q must be at least 2")

@@ -147,6 +147,15 @@ def test_bad_counts_exit_2(capsys):
         assert out.err.splitlines() == [f"error: {msg}"], argv
 
 
+def test_budget_mem_is_a_classes_option(capsys):
+    # enumerate holds no Kempe class, so it has no states budget to cap
+    assert main(["enumerate", "--tri", "T(3,3,0)", "--budget-mem", "1"]) == 2
+    assert "unrecognized arguments: --budget-mem" in capsys.readouterr().err
+    code, _ = run(capsys, "classes", "--tri", "T(3,3,0)",
+                  "--budget-mem", "0.000001")
+    assert code == 3
+
+
 def test_budget_exit_code(capsys):
     code, _ = run(capsys, "enumerate", "--tri", "T(6,6,0)", "--q", "4",
                   "--budget-nodes", "100")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -56,6 +57,9 @@ LEDGERS = [
     (8, [4, 16, 20, 18, 18]),        # 4k,   k=2
     (9, [8, 20, 20, 16, 18]),        # 4k+1, k=2
     (10, [8, 20, 16, 18]),           # 4k-2, k=3
+    (11, [4, 28, 28, 26, 30]),       # 4k-1, k=3
+    (12, [4, 28, 32, 30, 30]),       # 4k,   k=3
+    (2, [-18]),                      # the non-singular coloring, one step
 ]
 
 
@@ -63,6 +67,33 @@ LEDGERS = [
 def test_partial_degree_ledger(L, expected):
     _, trace = construct_deg6_symmetric(L)
     assert trace.degrees() == expected
+    # the trace lists each counter-diagonal D1..D3L exactly once
+    listed = [j for e in trace.steps for j in e.diagonals]
+    assert sorted(listed) == list(range(1, 3 * L + 1))
+
+
+# sha256 of the witness grid and its (label, partial degree) trace steps
+WITNESS_DIGESTS = {
+    2: "5001a46513f3f48c4153313e63c2510ba297aaccb814187eb58c8293c387a77d",
+    3: "48b55484822ea09275a7438c13a8719e1dbdc839b81f74f0acadd4dfa3391df4",
+    4: "6173a54ce9bd9a26e5a2bbc52d0ca8eaddeaeae8207f1aa83688e43be6d7a6f1",
+    5: "9392766762444a66b6817fc7250d3dd03d221f926f885cf66b90a36fe2f6b667",
+    6: "25c5d0d300a2db8eff656451dd470a9928e26aaf215224fc17f9a8fb13705c1d",
+    7: "a392f541a158d2461bafeb78beb2358cc26e38a75e8ac1aae8de72cc620bce95",
+    8: "d8c7ddc2f8d75dd5b6b6258479cb1d744d5f72f60c879356be572ba4503cbee5",
+    9: "0724db5d4be8d970530875055e124a9d7b1b086581b015e5eba0aaa841a4dec2",
+    10: "feb847c64c6c29a21bac0f7a3a85579afa0885845edb10bafafe13e2908393a4",
+    11: "91b4adb3824d7ae13ee9e557c8db928411a1b6852d043ba11437143990ccd0aa",
+    12: "67e314556f41117c5e0cc2c26efb82f4229aaca2719c51884f3145650153c2c6",
+}
+
+
+@pytest.mark.parametrize("L", sorted(WITNESS_DIGESTS))
+def test_witness_golden_digest(L):
+    c, trace = construct_deg6_symmetric(L)
+    steps = [(e.label, e.partial_degree) for e in trace.steps]
+    digest = hashlib.sha256(repr((c.colors, steps)).encode()).hexdigest()
+    assert digest == WITNESS_DIGESTS[L]
 
 
 def test_strip_rows_lengths_and_worked_case():

@@ -96,9 +96,10 @@ def test_budget_exceeded_pickles():
 
 
 def test_enumeration_threads_equivalence():
-    # T(3,8,2) is cut into 4 prefixes, so one of its 5 stripes is empty
+    # T(3,8,2) is cut into 4 prefixes, so one of its 5 stripes is empty;
+    # T(6,2,2) is cut at depth 6, before its pinned vertex (2,2)
     cases = {(6, 3, 0): (2,), (9, 3, 0): (2, 3), (9, 3, 3): (2, 3),
-             (3, 8, 2): (5,)}
+             (3, 8, 2): (5,), (6, 2, 2): (2,)}
     for rst, thread_counts in cases.items():
         tri = build(*rst)
         solo = enumerate_colorings(tri, 4, collect=True)
@@ -111,7 +112,8 @@ def test_enumeration_threads_equivalence():
 
 
 def test_uncolorable_torus_threaded():
-    # T(7,1,2) is K7: the cut is empty, yet every part returns a degree map
+    # T(7,1,2) is K7: its 2 prefixes at depth 3 have no proper completion,
+    # yet every part returns a degree map
     dec = kempe_classes(build(7, 1, 2), 4, threads=2)
     assert (dec.total, dec.num_classes) == (0, 0)
 
@@ -155,6 +157,16 @@ def test_packed_engine_neighbors_match_generic_path():
                         c2 = kempe_change(tri, c, KempeMove(a, b, comp))
                         ref.add(eng.canonical(eng.pack(c2)))
             assert set(eng.neighbor_keys(eng.pack(c))) == ref, (r, s, t, q)
+
+
+def test_packed_neighborhood_matches_lattice():
+    # PackedKempe's shifts re-derive the twisted wrap; pin them to `lattice`
+    for tri in SMALL_TORI + [build(16, 16, 1), build(12, 6, 3),
+                             build(27, 27, 0)]:
+        nbh = PackedKempe(tri, 4)._nbh
+        for v in range(tri.n):
+            want = sum(1 << w for w in tri.neighbors[v])
+            assert nbh(1 << v) == want, (tri.descriptor(), v)
 
 
 def test_packed_roundtrip_and_canonical():
