@@ -10,10 +10,9 @@ the non-singular structure laws behind it.
 
 from .lattice import Triangulation, build, is_three_colorable, parse_descriptor
 from .coloring import (BudgetExceeded, Coloring, canonicalize,
-                       coloring_from_rows, expand_row_pattern, is_proper,
-                       load_grid, nonsingular_coloring, parse_row_pattern,
-                       random_proper_coloring, read_grid, save_grid,
-                       three_coloring, write_grid)
+                       coloring_from_rows, expand_row_pattern, grid_text,
+                       is_proper, load_grid, nonsingular_coloring, parse_grid,
+                       random_proper_coloring, save_grid, three_coloring)
 from .degree import (DegreeReport, degree, degree_residue_checks,
                      max_degree_bound, partial_degree, tutte_parity)
 from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import random
 import sys
 import time
 
 from . import verify as verify_mod
-from .coloring import (BudgetExceeded, Coloring, load_grid,
-                       nonsingular_coloring, random_proper_coloring,
-                       three_coloring, write_grid)
+from .coloring import (BudgetExceeded, Coloring, grid_text, is_proper,
+                       load_grid, nonsingular_coloring, random_proper_coloring,
+                       save_grid, three_coloring)
 from .construct import construct_deg6, construct_deg6_symmetric
 from .degree import degree
 from .kempe import wsk_trajectory
@@ -34,12 +34,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _t0 = 0.0  # perf_counter at the start of the current command
-
-
-def _grid_text(c: Coloring) -> str:
-    buf = io.StringIO()
-    write_grid(c, buf)
-    return buf.getvalue()
 
 
 def _emit_report(args, command, payload, counters=None, seed=None):
@@ -64,6 +58,8 @@ def _emit_report(args, command, payload, counters=None, seed=None):
 def _budget_states(args):
     if args.budget_mem is None:
         return None
+    if not 0 < args.budget_mem < math.inf:
+        raise ValueError("--budget-mem must be a finite positive number of MB")
     # caps the states of one class at a rough 120 bytes per state; the
     # degree map that holds every enumerated state is not capped
     return max(1, int(args.budget_mem * 1e6 / 120))
@@ -97,7 +93,7 @@ def cmd_classes(args):
         "classes": [{"size": c.size, "residue": c.residue,
                      "degree_abs_counts": {str(k): v for k, v in
                                            sorted(c.degree_abs_counts.items())},
-                     "representative_grid": _grid_text(c.representative)}
+                     "representative_grid": grid_text(c.representative)}
                     for c in dec.classes],
     }
     _emit_report(args, "classes", payload)
@@ -113,14 +109,13 @@ def cmd_construct(args):
     rep = degree(c.tri, c)
     payload = {"triangulation": c.tri.descriptor(),
                "degree": rep.degree, "degree_abs": rep.degree_abs,
-               "degree_mod12": rep.mod12, "grid": _grid_text(c)}
+               "degree_mod12": rep.mod12, "grid": grid_text(c)}
     if args.trace and trace is not None:
         payload["trace"] = [{"step": e.label, "diagonals": e.diagonals,
                              "partial_degree": e.partial_degree}
                             for e in trace.steps]
     if args.grid_out:
-        with open(args.grid_out, "w") as fh:
-            fh.write(payload["grid"])
+        save_grid(c, args.grid_out)
     _emit_report(args, "construct", payload)
     return 0
 
@@ -132,7 +127,11 @@ def _start_coloring(tri, start, seed):
         return nonsingular_coloring(tri)
     if start == "random":
         return random_proper_coloring(tri, 4, random.Random(seed ^ 0x5EED))
-    return load_grid(start)
+    c = load_grid(start)
+    if c.tri != tri or not is_proper(tri, c):
+        raise ValueError(f"--start grid {start} is not a proper coloring of "
+                         f"{tri.descriptor()} (the grid is on {c.tri.descriptor()})")
+    return c
 
 
 def cmd_wsk(args):
@@ -185,14 +184,13 @@ def cmd_reduce(args):
                                    in report["cycle_lengths"].items()}
     payload = {
         "triangulation": c.tri.descriptor(),
-        "reduced_grid": _grid_text(reduced),
+        "reduced_grid": grid_text(reduced),
         "moves": [{"a": m.a, "b": m.b, "component": sorted(m.component)}
                   for m in moves],
         "structure": report,
     }
     if args.grid_out:
-        with open(args.grid_out, "w") as fh:
-            fh.write(payload["reduced_grid"])
+        save_grid(reduced, args.grid_out)
     if args.log_out:
         with open(args.log_out, "w") as fh:
             json.dump(payload["moves"], fh, indent=2)

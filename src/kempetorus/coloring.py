@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .lattice import Triangulation, build
 
@@ -115,69 +116,30 @@ def nonsingular_coloring(tri: Triangulation) -> Coloring:
     return Coloring(tri, 4, bytes(out))
 
 
-_PATTERN_RE = re.compile(r"(\d)|\[(\d+)\]\^(\d+)")
+_BLOCK = r"\[(\d+)\]\^(\d+)"
 
 
-@dataclass(frozen=True)
-class RowPattern:
-    """A color sequence with repetition groups, e.g. 12[34]^3 2."""
+def expand_row_pattern(text: str) -> tuple[int, ...]:
+    """Colors of a row pattern such as "12[34]^3 2".
 
-    items: tuple[tuple[tuple[int, ...], int], ...]  # (colors, repeat)
-
-    @property
-    def length(self) -> int:
-        return sum(len(cs) * rep for cs, rep in self.items)
-
-    def expand(self) -> tuple[int, ...]:
-        out = []
-        for cs, rep in self.items:
-            out.extend(cs * rep)
-        return tuple(out)
-
-
-def parse_row_pattern(text: str) -> RowPattern:
-    """Grammar: seq := item+ ; item := color | '[' color+ ']' '^' int.
-
+    Grammar: seq := item+ ; item := color | '[' color+ ']' '^' int.
     Whitespace separates tokens (and in particular terminates an
     exponent, so "[34]^3 2" is three repeats followed by the color 2).
     """
-    items = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _PATTERN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"malformed row pattern {text!r} at offset {pos}")
-        if m.group(1):
-            items.append(((int(m.group(1)),), 1))
-        else:
-            items.append((tuple(int(d) for d in m.group(2)), int(m.group(3))))
-        pos = m.end()
-    if not items:
-        raise ValueError("empty row pattern")
-    return RowPattern(tuple(items))
-
-
-def expand_row_pattern(pattern) -> tuple[int, ...]:
-    if isinstance(pattern, str):
-        pattern = parse_row_pattern(pattern)
-    return pattern.expand()
+    if not re.fullmatch(rf"\s*(?:(?:\d|{_BLOCK})\s*)+", text):
+        raise ValueError(f"malformed row pattern {text!r}")
+    flat = re.sub(_BLOCK, lambda m: m[1] * int(m[2]), text)
+    return tuple(int(ch) for ch in flat if not ch.isspace())
 
 
 def coloring_from_rows(tri: Triangulation, rows, q: int = 4) -> Coloring:
     """Assemble a coloring from s rows of length r (row y=1 first)."""
-    rows = [expand_row_pattern(row) if isinstance(row, (str, RowPattern)) else tuple(row)
-            for row in rows]
+    rows = [tuple(row) for row in rows]
     if len(rows) != tri.s or any(len(row) != tri.r for row in rows):
         raise ValueError(
             f"need {tri.s} rows of length {tri.r} for {tri.descriptor()}, got "
             f"{[len(row) for row in rows]}")
-    flat = bytearray()
-    for row in rows:
-        flat.extend(row)
-    return Coloring(tri, q, bytes(flat))
+    return Coloring(tri, q, bytes(x for row in rows for x in row))
 
 
 def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
@@ -219,36 +181,32 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
     raise BudgetExceeded(f"{tri.descriptor()} random-start restarts", 1000)
 
 
-# Grid file format: header "T r s t q", then s lines of r digits, row y=1 first.
+# Grid text: header "T r s t q", then exactly s lines of r digits, row y=1
+# first; blank lines may follow.
 
-def write_grid(c: Coloring, fh) -> None:
+def grid_text(c: Coloring) -> str:
     if c.q > 9:
         raise ValueError("grid format supports q <= 9")
-    fh.write(f"T {c.tri.r} {c.tri.s} {c.tri.t} {c.q}\n")
-    for row in c.rows():
-        fh.write("".join(str(x) for x in row) + "\n")
+    return "".join([f"T {c.tri.r} {c.tri.s} {c.tri.t} {c.q}\n",
+                    *("".join(map(str, row)) + "\n" for row in c.rows())])
 
 
-def read_grid(fh) -> Coloring:
-    header = fh.readline().split()
+def parse_grid(text: str) -> Coloring:
+    lines = text.splitlines() or [""]
+    header = lines[0].split()
     if len(header) != 5 or header[0] != "T":
         raise ValueError("bad grid header; expected 'T r s t q'")
     r, s, t, q = (int(x) for x in header[1:])
-    tri = build(r, s, t)
-    flat = bytearray()
-    for y in range(s):
-        line = fh.readline().strip()
-        if len(line) != r:
-            raise ValueError(f"grid row {y + 1} has length {len(line)}, expected {r}")
-        flat.extend(int(ch) for ch in line)
-    return Coloring(tri, q, bytes(flat))
+    rows = [line.strip() for line in lines[1:]]
+    if any(rows[s:]):
+        raise ValueError(f"grid has more rows than the header's s = {s}")
+    return coloring_from_rows(build(r, s, t),
+                              [map(int, row) for row in rows[:s]], q)
 
 
 def save_grid(c: Coloring, path) -> None:
-    with open(path, "w") as fh:
-        write_grid(c, fh)
+    Path(path).write_text(grid_text(c))
 
 
 def load_grid(path) -> Coloring:
-    with open(path) as fh:
-        return read_grid(fh)
+    return parse_grid(Path(path).read_text())

@@ -453,14 +453,8 @@ def strip_rows(L: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
         raise ValueError("strips are defined for L >= 3")
     k = _k(L)
     t = (3 * k - 6) // 2 if L % 4 == 2 else (3 * k - 2) // 2
-    pats = _STRIP_ROWS[L % 4][k % 2]
-    subst = {"{t}": str(t), "{t1}": str(t + 1), "{t2}": str(t + 2)}
-    rows = []
-    for pat in pats:
-        for key, val in subst.items():
-            pat = pat.replace(key, val)
-        rows.append(expand_row_pattern(pat))
-    return tuple(rows)
+    return tuple(expand_row_pattern(pat.format(t=t, t1=t + 1, t2=t + 2))
+                 for pat in _STRIP_ROWS[L % 4][k % 2])
 
 
 def build_strip(L: int) -> Coloring:

@@ -13,7 +13,7 @@ t622_threecolor   its 3-coloring (q = 3)
 
 from importlib import resources
 
-from .coloring import Coloring, read_grid
+from .coloring import Coloring, parse_grid
 
 NAMES = ("t66_ns", "t66_swap_bottom", "t66_swap_row2", "t66_swap_row4",
          "t99_deg6", "t1212_deg6", "t1515_deg6", "t1818_deg6",
@@ -24,5 +24,4 @@ def load_fixture(name: str) -> Coloring:
     if name not in NAMES:
         raise KeyError(f"unknown fixture {name!r}; have {NAMES}")
     ref = resources.files(__package__) / "fixtures" / f"{name}.grid"
-    with ref.open() as fh:
-        return read_grid(fh)
+    return parse_grid(ref.read_text())

@@ -305,6 +305,8 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
         raise ValueError("q must be at least 2")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if budget_nodes is not None and budget_nodes < 0:
+        raise ValueError("budget_nodes must be at least 0")
     t0 = time.perf_counter()
     task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
                              threads)

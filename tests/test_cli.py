@@ -8,8 +8,11 @@ import types
 import kempetorus
 from kempetorus import cli
 from kempetorus.cli import main
-from kempetorus.coloring import load_grid
+from kempetorus.coloring import (Coloring, grid_text, load_grid,
+                                 random_proper_coloring, save_grid,
+                                 three_coloring)
 from kempetorus.fixtures import load_fixture
+from kempetorus.lattice import build
 
 
 def run(capsys, *argv):
@@ -94,12 +97,47 @@ def test_wsk_states_record(tmp_path, capsys):
     assert code == 0
 
 
+def test_wsk_start_must_color_the_torus(tmp_path, capsys):
+    w9, t940, improper = (tmp_path / n for n in ("w9.grid", "t940.grid",
+                                                  "improper.grid"))
+    assert main(["construct", "--L", "3", "--grid-out", str(w9)]) == 0
+    save_grid(random_proper_coloring(build(9, 4, 0), 4, random.Random(1)),
+              t940)  # 36 vertices, as T(6,6,0) has
+    improper.write_text("T 3 3 0 4\n111\n111\n111\n")
+    capsys.readouterr()
+    for grid, tri, on in ((w9, "T(6,6,0)", "T(9,9,0)"),
+                          (t940, "T(6,6,0)", "T(9,4,0)"),
+                          (improper, "T(3,3,0)", "T(3,3,0)")):
+        for record in ("states", "degrees"):
+            assert main(["wsk", "--tri", tri, "--start", str(grid),
+                         "--record", record, "--steps", "2"]) == 2
+            out = capsys.readouterr()
+            assert out.out == "", (grid, record)
+            assert out.err.splitlines() == [
+                f"error: --start grid {grid} is not a proper coloring of "
+                f"{tri} (the grid is on {on})"], (grid, record)
+
+
+def test_degree_rejects_rows_beyond_header(tmp_path, capsys):
+    tri = build(3, 6, 0)
+    text = grid_text(Coloring(tri, 4, three_coloring(tri).colors))
+    grid = tmp_path / "six_rows.grid"
+    grid.write_text(text.replace("T 3 6 0 4", "T 3 3 0 4", 1))
+    assert main(["degree", "--grid", str(grid)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: grid has more rows than the header's s = 3"]
+    grid.write_text(text + "\n\n")  # trailing blank lines are fine
+    code, out = run(capsys, "degree", "--grid", str(grid))
+    assert code == 0 and json.loads(out)["triangulation"] == "T(3,6,0)"
+
+
 def test_reduce_roundtrip(tmp_path, capsys):
     src = tmp_path / "ns.grid"
     reduced = tmp_path / "reduced.grid"
     log = tmp_path / "log.json"
     fx = load_fixture("t66_ns")
-    from kempetorus.coloring import save_grid
     save_grid(fx, src)
     code, out = run(capsys, "reduce", "--grid", str(src),
                     "--grid-out", str(reduced), "--log-out", str(log))
@@ -140,7 +178,14 @@ def test_bad_counts_exit_2(capsys):
             (["classes", "--tri", "T(3,3,0)", "--threads", "0"],
              "threads must be at least 1"),
             (["wsk", "--tri", "T(3,3,0)", "--steps", "-3"],
-             "--steps must be at least 0")):
+             "--steps must be at least 0"),
+            (["enumerate", "--tri", "T(3,3,0)", "--budget-nodes", "-1"],
+             "budget_nodes must be at least 0"),
+            (["classes", "--tri", "T(3,3,0)", "--budget-nodes", "-1"],
+             "budget_nodes must be at least 0")) + tuple(
+            (["classes", "--tri", "T(3,3,0)", "--budget-mem", mb],
+             "--budget-mem must be a finite positive number of MB")
+            for mb in ("inf", "-1", "nan", "0")):
         assert main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
@@ -159,6 +204,10 @@ def test_budget_mem_is_a_classes_option(capsys):
 def test_budget_exit_code(capsys):
     code, _ = run(capsys, "enumerate", "--tri", "T(6,6,0)", "--q", "4",
                   "--budget-nodes", "100")
+    assert code == 3
+    # zero nodes is a real budget, not a bad count
+    code, _ = run(capsys, "enumerate", "--tri", "T(3,3,0)",
+                  "--budget-nodes", "0")
     assert code == 3
 
 

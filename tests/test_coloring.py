@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 import time
@@ -8,10 +7,10 @@ import pytest
 import kempetorus
 from kempetorus.coloring import (BudgetExceeded, Coloring, canonicalize,
                                  coloring_from_rows, expand_row_pattern,
-                                 is_proper, nonsingular_coloring,
-                                 parse_row_pattern, random_proper_coloring,
-                                 read_grid, three_coloring, write_grid)
-from kempetorus.fixtures import load_fixture
+                                 grid_text, is_proper, nonsingular_coloring,
+                                 parse_grid, random_proper_coloring,
+                                 three_coloring)
+from kempetorus.fixtures import NAMES, load_fixture
 from kempetorus.lattice import build
 
 from oracles import brute_force_colorings
@@ -109,11 +108,10 @@ def test_row_pattern_worked_example():
 def test_row_pattern_basics():
     assert expand_row_pattern("[1]^5") == (1, 1, 1, 1, 1)
     assert expand_row_pattern("[1423]^0 9") == (9,)
-    assert parse_row_pattern("[12]^2").length == 4
-    with pytest.raises(ValueError):
-        parse_row_pattern("[12^3")
-    with pytest.raises(ValueError):
-        parse_row_pattern("")
+    assert expand_row_pattern("[34]^2 2") == (3, 4, 3, 4, 2)
+    for bad in ("[12^3", "", "  ", "12x", "[]^3", "[12]^"):
+        with pytest.raises(ValueError):
+            expand_row_pattern(bad)
 
 
 def test_coloring_from_rows_roundtrip():
@@ -132,23 +130,29 @@ def test_coloring_from_rows_dimension_mismatch():
 
 
 def test_grid_roundtrip_bit_exact():
-    for name in ("t66_ns", "t99_deg6", "t622_threecolor"):
+    for name in NAMES:
         c = load_fixture(name)
-        buf = io.StringIO()
-        write_grid(c, buf)
-        text = buf.getvalue()
-        again = read_grid(io.StringIO(text))
+        text = grid_text(c)
+        again = parse_grid(text)
         assert again.colors == c.colors and again.tri == c.tri and again.q == c.q
-        buf2 = io.StringIO()
-        write_grid(again, buf2)
-        assert buf2.getvalue() == text
+        assert grid_text(again) == text
 
 
 def test_grid_rejects_wide_palettes():
     tri = build(3, 3, 0)
     c = Coloring(tri, 12, bytes([1, 2, 3, 2, 3, 1, 3, 1, 2]))
     with pytest.raises(ValueError):
-        write_grid(c, io.StringIO())
+        grid_text(c)
+
+
+def test_grid_rows_beyond_header_are_rejected():
+    # six rows of T(3,6,0) under a header that says s = 3
+    text = grid_text(Coloring(build(3, 6, 0), 4, three_coloring(build(3, 6, 0)).colors))
+    with pytest.raises(ValueError, match="more rows than the header's s = 3"):
+        parse_grid(text.replace("T 3 6 0 4", "T 3 3 0 4", 1))
+    assert parse_grid(text + "\n  \n\n").tri == build(3, 6, 0)
+    with pytest.raises(ValueError):
+        parse_grid("T 3 6 0 4\n123\n231\n")  # too few rows
 
 
 def test_fixtures_are_proper():

@@ -96,6 +96,31 @@ def test_witness_golden_digest(L):
     assert digest == WITNESS_DIGESTS[L]
 
 
+# sha256 of repr(strip_rows(L))
+STRIP_DIGESTS = {
+    3: "b3f28ce67bb4480b55e3b9097f76eaf13f5886a4ffe52bd96abbfe3e47828354",
+    4: "caf45237a118b81cb9731ea65f4934c3b5fc13197a43ef1733c4aa24f35a97df",
+    5: "6f3ba1e457d0ebfcbd704a70544f8712cbdf531cfc2d9fa19c415fa8c664528b",
+    6: "e64433463e314cf9a7da686c38ba36401990180faabbd092cfee226bc7ca0e5b",
+    7: "4a903ca06389bcdbcae88c3e52e9396a86df0015562b1f74f9deebc14eaacb45",
+    8: "af1122707d41665b412b0b5adfd345be7a13c952ea12cf6af4ed785afe680fd8",
+    9: "04d4126f8bffe0766893c33ea867d8e22d7cd16b60e535578054b1daa3dc20b2",
+    10: "ef1a0fd0b4e9ca878f802a93ee69429233c7f0305743c272437f286d00f85057",
+    11: "5b2878ad3e91df36a74444f34764b2b8d567e1abd178670f5cbb45bd055132d9",
+    12: "714f7f5723037947c8d57ddc8cb338ca60cccce6c354bc06bc0f7fa17cb88575",
+    13: "3371e2d5ae75c83b23acc40e2e079424aeef148e6e851c9df2aa2c49376f4768",
+    14: "ab2d7a20cfe812c58ddb245c2a069418303ba5993a260f4d5c8b20afcdb4d567",
+    15: "1400c699ada1df6e796676bcc59547e5a7cc473333648a22ca1ee203a24eb0c0",
+    16: "b628b106c563d957ff09f5a6aad9d87c9bf03e31357926b14a37147b8e4c96ab",
+}
+
+
+@pytest.mark.parametrize("L", sorted(STRIP_DIGESTS))
+def test_strip_rows_golden_digest(L):
+    digest = hashlib.sha256(repr(strip_rows(L)).encode()).hexdigest()
+    assert digest == STRIP_DIGESTS[L]
+
+
 def test_strip_rows_lengths_and_worked_case():
     c1, c2, c3 = strip_rows(3)
     assert c3 == (1, 4, 2, 1, 4, 2, 4, 1, 3)  # [1423]^0 14214241 [3241]^0 3
