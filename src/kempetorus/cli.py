@@ -2,10 +2,10 @@
 
 Every subcommand emits a RunReport JSON object (stdout, or --out) whose
 payload is reproducible bit-exactly from the same parameters and seed;
-wall time and node counters live outside the payload.  `wsk` emits CSV
-instead.  Exit codes: 0 ok, 1 invariant violation, 2 usage error
-(bad counts and unreadable or unwritable files included), 3 budget
-exceeded.
+wall time, per-phase timings and node counters live outside the
+payload.  `wsk` emits CSV instead.  Exit codes: 0 ok, 1 invariant
+violation, 2 usage error (bad counts and unreadable or unwritable files
+included), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 import sys
 import time
@@ -36,14 +35,16 @@ EXIT_BUDGET = 3
 _t0 = 0.0  # perf_counter at the start of the current command
 
 
-def _emit_report(args, command, payload, counters=None, seed=None):
+def _emit_report(args, command, tri, payload, counters=None, timings=None,
+                 seed=None):
     report = {
         "command": command,
         "parameters": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("func", "out") and v is not None},
-        "triangulation": getattr(args, "tri", None),
+        "triangulation": tri.descriptor() if tri is not None else None,
         "payload": payload,
         "wall_time_s": round(time.perf_counter() - _t0, 3),
+        "timings": timings or {},
         "counters": counters or {},
         "seed": seed,
     }
@@ -55,19 +56,9 @@ def _emit_report(args, command, payload, counters=None, seed=None):
         print(text)
 
 
-def _budget_states(args):
-    if args.budget_mem is None:
-        return None
-    if not 0 < args.budget_mem < math.inf:
-        raise ValueError("--budget-mem must be a finite positive number of MB")
-    # caps the states of one class at a rough 120 bytes per state; the
-    # degree map that holds every enumerated state is not capped
-    return max(1, int(args.budget_mem * 1e6 / 120))
-
-
 def cmd_build(args):
     tri = parse_descriptor(args.tri)
-    _emit_report(args, "build", json.loads(tri.to_json()))
+    _emit_report(args, "build", tri, json.loads(tri.to_json()))
     return 0
 
 
@@ -78,14 +69,14 @@ def cmd_enumerate(args):
     payload = {"total": res.total,
                "histogram": ({str(k): v for k, v in sorted(res.histogram.items())}
                              if res.histogram is not None else None)}
-    _emit_report(args, "enumerate", payload, counters={"nodes": res.nodes})
+    _emit_report(args, "enumerate", tri, payload,
+                 counters={"nodes": res.nodes})
     return 0
 
 
 def cmd_classes(args):
     tri = parse_descriptor(args.tri)
     dec = kempe_classes(tri, args.q, budget_nodes=args.budget_nodes,
-                        budget_states=_budget_states(args),
                         threads=args.threads)
     payload = {
         "total": dec.total,
@@ -96,7 +87,7 @@ def cmd_classes(args):
                      "representative_grid": grid_text(c.representative)}
                     for c in dec.classes],
     }
-    _emit_report(args, "classes", payload)
+    _emit_report(args, "classes", tri, payload)
     return 0
 
 
@@ -116,7 +107,7 @@ def cmd_construct(args):
                             for e in trace.steps]
     if args.grid_out:
         save_grid(c, args.grid_out)
-    _emit_report(args, "construct", payload)
+    _emit_report(args, "construct", c.tri, payload)
     return 0
 
 
@@ -167,8 +158,7 @@ def cmd_wsk(args):
 def cmd_degree(args):
     c = load_grid(args.grid)
     rep = degree(c.tri, c)
-    args.tri = c.tri.descriptor()
-    _emit_report(args, "degree", rep.to_dict())
+    _emit_report(args, "degree", c.tri, rep.to_dict())
     return 0
 
 
@@ -194,22 +184,20 @@ def cmd_reduce(args):
     if args.log_out:
         with open(args.log_out, "w") as fh:
             json.dump(payload["moves"], fh, indent=2)
-    args.tri = c.tri.descriptor()
-    _emit_report(args, "reduce", payload)
+    _emit_report(args, "reduce", c.tri, payload)
     return 0
 
 
 def cmd_verify(args):
-    records = verify_mod.run_suite(level=args.level, threads=args.threads)
-    for rec in records:
-        status = "PASS" if rec["ok"] else "FAIL"
-        print(f"{status} [{rec['id']}] {rec['name']} "
-              f"({rec['elapsed']:.1f}s) {rec['details']}")
-    ok = all(rec["ok"] for rec in records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"level": args.level, "ok": ok, "criteria": records},
-                      fh, indent=2)
+    criteria, timings = [], {}
+    for rec in verify_mod.run_suite(level=args.level, threads=args.threads):
+        print(verify_mod.line(rec), file=sys.stderr, flush=True)
+        timings[rec["id"]] = rec.pop("elapsed")
+        criteria.append(rec)
+    ok = all(rec["ok"] for rec in criteria)
+    _emit_report(args, "verify", None,
+                 {"level": args.level, "ok": ok, "criteria": criteria},
+                 timings=timings)
     return 0 if ok else EXIT_INVARIANT
 
 
@@ -241,7 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="decompose into Kempe classes")
     common(p, tri=True, q=True, budget=True)
-    p.add_argument("--budget-mem", type=float, metavar="MB")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("construct", help="build a degree-6 (mod 12) witness")

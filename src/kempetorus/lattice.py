@@ -36,7 +36,6 @@ class Triangulation:
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
         "faces",            # list of vertex triples, clockwise boundary order
         "edges",            # list of (u, v, apex1, apex2) with u < v
-        "edge_index",       # (u, v) sorted pair -> edge id
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
     )
 
@@ -74,7 +73,6 @@ class Triangulation:
                 key = (u, w) if u < w else (w, u)
                 by_edge.setdefault(key, []).append((fid, apex))
         edges = []
-        edge_index = {}
         face_adj = [[] for _ in faces]
         for key in sorted(by_edge):
             inc = by_edge[key]
@@ -84,11 +82,9 @@ class Triangulation:
             (f1, apex1), (f2, apex2) = inc
             eid = len(edges)
             edges.append((key[0], key[1], apex1, apex2))
-            edge_index[key] = eid
             face_adj[f1].append((f2, eid))
             face_adj[f2].append((f1, eid))
         self.edges = edges
-        self.edge_index = edge_index
         self.face_adjacency = [tuple(x) for x in face_adj]
 
     def _wrap(self, x: int, y: int) -> int:
@@ -129,10 +125,6 @@ class Triangulation:
         if not 1 <= j <= self.r:
             raise ValueError(f"diagonal index {j} out of range 1..{self.r}")
         return [(j - y - 1) % self.r + (y - 1) * self.r for y in range(1, self.s + 1)]
-
-    def edge_between(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.edge_index[key]
 
     def descriptor(self) -> str:
         return f"T({self.r},{self.s},{self.t})"

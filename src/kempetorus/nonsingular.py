@@ -38,16 +38,12 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 class NsCycle:
     pair: tuple[int, int]
     vertices: tuple[int, ...]   # consecutive vertices adjacent, cyclically
+    edges: tuple[int, ...]      # edge ids, edges[i] joining vertices i, i+1
     homotopy: tuple[int, int]   # sign-canonical winding numbers
 
     @property
     def contractible(self) -> bool:
         return self.homotopy == (0, 0)
-
-    def edges(self, tri: Triangulation) -> list[int]:
-        vs = self.vertices
-        return [tri.edge_between(vs[i], vs[(i + 1) % len(vs)])
-                for i in range(len(vs))]
 
 
 @dataclass(frozen=True)
@@ -97,11 +93,11 @@ def _cycle_homotopy(tri: Triangulation, vertices) -> tuple[int, int]:
 
 def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
     """Walk the edges of one N_ij bucket into cycles, least start first."""
-    incident: dict[int, list[int]] = {}
+    incident: dict[int, list[tuple[int, int]]] = {}
     for eid in edge_ids:
         u, v = tri.edges[eid][:2]
-        incident.setdefault(u, []).append(v)
-        incident.setdefault(v, []).append(u)
+        incident.setdefault(u, []).append((v, eid))
+        incident.setdefault(v, []).append((u, eid))
     for v, nb in incident.items():
         if len(nb) != 2:
             raise AssertionError(
@@ -112,18 +108,20 @@ def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
     for start in sorted(incident):
         if start in seen:
             continue
-        walk = [start]
+        walk, edges = [start], []
         seen.add(start)
         prev, cur = None, start
         while True:
             a, b = incident[cur]
-            nxt = a if a != prev else b
+            nxt, eid = a if a[0] != prev else b
+            edges.append(eid)
             if nxt == start:
                 break
             walk.append(nxt)
             seen.add(nxt)
             prev, cur = cur, nxt
-        cycles.append(NsCycle(pair, tuple(walk), _cycle_homotopy(tri, walk)))
+        cycles.append(NsCycle(pair, tuple(walk), tuple(edges),
+                              _cycle_homotopy(tri, walk)))
     return cycles
 
 
@@ -180,7 +178,7 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
     if len({cy.homotopy for cy in cycles}) != 1:
         raise AssertionError(
             "disjoint cycles of one N_ij with unequal homotopy types: bug")
-    cut = {e for cy in cycles for e in cy.edges(tri)}
+    cut = {e for cy in cycles for e in cy.edges}
     boundary = {v for cy in cycles for v in cy.vertices}
     comps = _face_components(tri, cut)
     if len(comps) != 2:

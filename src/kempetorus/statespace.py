@@ -25,11 +25,9 @@ once: the enumerated map from key to |degree| is also the visited table.
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import itertools
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 
 from .coloring import BudgetExceeded, Coloring, three_coloring
@@ -42,7 +40,6 @@ class EnumerationResult:
     total: int
     histogram: dict | None          # |degree| -> count, q = 4 only
     nodes: int                      # DFS assignments explored
-    elapsed: float
     state_degrees: dict | None = None  # key -> |degree|, if collected
 
 
@@ -307,33 +304,32 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
         raise ValueError("threads must be at least 1")
     if budget_nodes is not None and budget_nodes < 0:
         raise ValueError("budget_nodes must be at least 0")
-    t0 = time.perf_counter()
     task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
                              threads)
+    if threads > 1:
+        # map re-raises a worker's error only once every part has
+        # returned, so the pool is never torn down under a running worker
+        with multiprocessing.Pool(threads) as pool:
+            parts = pool.map(task, range(threads))
+    else:
+        parts = map(task, [0])
     total = nodes = 0
     hist: dict[int, int] = {}
     degs = None
-    with contextlib.ExitStack() as stack:
-        if threads > 1:
-            pool = stack.enter_context(multiprocessing.Pool(threads))
-            parts = pool.imap_unordered(task, range(threads))
+    for ptotal, phist, pnodes, pdegs in parts:
+        total += ptotal
+        nodes += pnodes
+        if budget_nodes is not None and nodes > budget_nodes:
+            raise BudgetExceeded("nodes", budget_nodes)
+        for k, v in phist.items():
+            hist[k] = hist.get(k, 0) + v
+        # adopt the first part: copying its map would double the
+        # peak memory of a one-thread run
+        if degs is None:
+            degs = pdegs
         else:
-            parts = map(task, [0])
-        for ptotal, phist, pnodes, pdegs in parts:
-            total += ptotal
-            nodes += pnodes
-            if budget_nodes is not None and nodes > budget_nodes:
-                raise BudgetExceeded("nodes", budget_nodes)
-            for k, v in phist.items():
-                hist[k] = hist.get(k, 0) + v
-            # adopt the first part: copying its map would double the
-            # peak memory of a one-thread run
-            if degs is None:
-                degs = pdegs
-            else:
-                degs.update(pdegs)
+            degs.update(pdegs)
     return EnumerationResult(total, hist if q == 4 else None, nodes,
-                             time.perf_counter() - t0,
                              degs if collect else None)
 
 
@@ -388,8 +384,7 @@ def _bfs_levels(neighbors, seed, seen, budget_states=None):
         level = nxt
 
 
-def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict,
-                     budget_states=None):
+def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     """BFS one Kempe class; returns (size, |degree| histogram, least key).
 
     `degs` maps every enumerated state to its |degree|, or to None once
@@ -398,7 +393,7 @@ def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict,
     size = 0
     least = seed
     dhist: dict[int, int] = {}
-    for level in _bfs_levels(engine.neighbor_keys, seed, degs, budget_states):
+    for level in _bfs_levels(engine.neighbor_keys, seed, degs):
         size += len(level)
         least = min(least, min(level))
         for d in level.values():
@@ -407,7 +402,7 @@ def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict,
 
 
 def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
-                  budget_states=None, threads: int = 1) -> ClassDecomposition:
+                  threads: int = 1) -> ClassDecomposition:
     """Partition all canonical proper q-colorings into Kempe classes.
 
     One bitboard engine serves every q, with every state held in memory;
@@ -415,13 +410,15 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     each class reports its |degree| histogram, and on 3-colorable tori its
     |degree| residue mod 12, checked to be single (the Kempe invariant).
     Elsewhere the invariant does not hold and the residue is None.
+    `budget_nodes` caps the enumeration; each state is one leaf
+    assignment, so it also caps the states held.
     """
     engine = PackedKempe(tri, q)
     enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
                                threads=threads, collect=True)
     check_residue = q == 4 and tri.is_three_colorable()
     degs = enum.state_degrees
-    found = [_bfs_class_stats(engine, seed, degs, budget_states)
+    found = [_bfs_class_stats(engine, seed, degs)
              for seed, d in degs.items() if d is not None]
     classes = []
     # largest first, ties by least key: the order does not depend on the DFS

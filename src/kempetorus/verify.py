@@ -1,21 +1,9 @@
 """Acceptance checks: every published exact result this library reproduces.
 
-Each criterion function returns a record {id, name, ok, elapsed, details}
-and never raises on a mere mismatch (ok=False with details instead), so
-the CLI can print one line per criterion.  Time targets are reported,
-not enforced; the counts and residues are enforced exactly.
-
-    C1  T(6,6) census: 305238 colorings, |deg| histogram {0,6,18}
-    C2  T(6,6) Kempe classes: sizes {305192, 46}
-    C3  T(3,3): all degree 0, one class
-    C4  T(6,9): 299146792 colorings, all degree 0, one class (full level)
-    C5  witness constructions L=2..9 and their reference figures
-    C6  mod-12 invariance along WSK trajectories
-    C7  degree well-definedness across target triangles + parity identity
-    C8  NS-minimal reduction oracle on T(6,6)
-    C9  gluing / periodic-extension degree arithmetic
-    C10 width-3 tori have only degree-0 colorings
-    C11 symmetry-broken counts x 4! == unrestricted counts
+`CRITERIA` lists each check once, in order, with its id, name and level.
+A check takes the thread count and returns (ok, details); it never raises
+on a mere mismatch, so the CLI can print one line per criterion.  The
+counts and residues are enforced exactly; wall time is only reported.
 """
 
 from __future__ import annotations
@@ -23,7 +11,8 @@ from __future__ import annotations
 import random
 import time
 
-from .coloring import Coloring, canonicalize, is_proper, random_proper_coloring, three_coloring
+from .coloring import (Coloring, canonicalize, is_proper, nonsingular_coloring,
+                       random_proper_coloring, three_coloring)
 from .construct import build_strip, construct_deg6, construct_deg6_symmetric, glue_strip, extend_periodic
 from .degree import degree, face_degree_counts, tutte_parity
 from .fixtures import load_fixture
@@ -33,57 +22,50 @@ from .nonsingular import check_ns_minimal_structure, ns_minimal_reduce
 from .statespace import enumerate_colorings, kempe_classes
 
 
-def _record(cid, name, ok, t0, details=""):
-    return {"id": cid, "name": name, "ok": bool(ok),
-            "elapsed": round(time.perf_counter() - t0, 3), "details": details}
+def _class_histogram(dec) -> dict:
+    """The |degree| histogram of a decomposition, summed over its classes."""
+    histogram: dict[int, int] = {}
+    for cls in dec.classes:
+        for d, cnt in cls.degree_abs_counts.items():
+            histogram[d] = histogram.get(d, 0) + cnt
+    return histogram
 
 
-def criterion_1(threads: int = 1):
-    t0 = time.perf_counter()
+def _t66_census(threads):
     res = enumerate_colorings(build(6, 6, 0), 4, threads=threads)
     want = {0: 305192, 6: 45, 18: 1}
     ok = res.total == 305238 and res.histogram == want
-    return _record("C1", "T(6,6) enumeration census", ok, t0,
-                   f"total={res.total} histogram={dict(sorted(res.histogram.items()))}")
+    return ok, f"total={res.total} histogram={dict(sorted(res.histogram.items()))}"
 
 
-def criterion_2(threads: int = 1):
-    t0 = time.perf_counter()
+def _t66_classes(threads):
     dec = kempe_classes(build(6, 6, 0), 4, threads=threads)
     sizes = sorted(c.size for c in dec.classes)
     small = min(dec.classes, key=lambda c: c.size)
     ok = (dec.num_classes == 2 and sizes == [46, 305238 - 46]
           and small.degree_abs_counts == {6: 45, 18: 1}
           and small.residue == 6)
-    return _record("C2", "T(6,6) Kempe classes", ok, t0,
-                   f"classes={[(c.size, c.residue) for c in dec.classes]} "
-                   f"small-class degrees={small.degree_abs_counts}")
+    return ok, (f"classes={[(c.size, c.residue) for c in dec.classes]} "
+                f"small-class degrees={small.degree_abs_counts}")
 
 
-def criterion_3():
-    t0 = time.perf_counter()
-    res = enumerate_colorings(build(3, 3, 0), 4)
+def _t33(threads):
     dec = kempe_classes(build(3, 3, 0), 4)
-    ok = (set(res.histogram) == {0} and dec.num_classes == 1)
-    return _record("C3", "T(3,3) degrees and class count", ok, t0,
-                   f"total={res.total} histogram={res.histogram} "
-                   f"classes={dec.num_classes}")
+    histogram = _class_histogram(dec)
+    ok = set(histogram) == {0} and dec.num_classes == 1
+    return ok, (f"total={dec.total} histogram={histogram} "
+                f"classes={dec.num_classes}")
 
 
-def criterion_4(threads: int = 1):
+def _t69(threads):
     """The long T(6,9) job: many hours of CPU, and tens of GB of memory
     for the map from each of the 299146792 states to its |degree|."""
-    t0 = time.perf_counter()
     dec = kempe_classes(build(6, 9, 0), 4, threads=threads)
-    histogram: dict[int, int] = {}
-    for cls in dec.classes:
-        for d, cnt in cls.degree_abs_counts.items():
-            histogram[d] = histogram.get(d, 0) + cnt
+    histogram = _class_histogram(dec)
     ok = (dec.total == 299146792 and dec.num_classes == 1
           and set(histogram) == {0})
-    return _record("C4", "T(6,9) census and class count", ok, t0,
-                   f"total={dec.total} classes={dec.num_classes} "
-                   f"histogram={histogram}")
+    return ok, (f"total={dec.total} classes={dec.num_classes} "
+                f"histogram={histogram}")
 
 
 _WITNESS_DEGREES = {2: 18, 3: 6, 4: 6, 5: 6, 6: 6, 7: 18, 8: 18, 9: 18}
@@ -91,8 +73,7 @@ _WITNESS_FIXTURES = {2: "t66_ns", 3: "t99_deg6", 4: "t1212_deg6",
                      5: "t1515_deg6", 6: "t1818_deg6"}
 
 
-def criterion_5():
-    t0 = time.perf_counter()
+def _witnesses(threads):
     problems = []
     degrees = []
     for L, want in _WITNESS_DEGREES.items():
@@ -108,13 +89,11 @@ def criterion_5():
             fx = load_fixture(name)
             if canonicalize(c).colors != canonicalize(fx).colors:
                 problems.append(f"L={L} differs from fixture {name}")
-    return _record("C5", "witness constructions L=2..9", not problems, t0,
-                   "; ".join(problems) or f"degrees {degrees}")
+    return not problems, "; ".join(problems) or f"degrees {degrees}"
 
 
-def criterion_6():
+def _mod12_along_wsk(threads):
     steps, seed = 10_000, 20240601
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     sizes = [(L, M) for L in range(1, 5) for M in range(1, 5)]
     done = 0
@@ -133,13 +112,11 @@ def criterion_6():
             if degree(tri, c).degree % 12 != residue:
                 problems.append(f"mod-12 changed on {tri.descriptor()}")
                 break
-    return _record("C6", "mod-12 invariance along WSK", not problems, t0,
-                   "; ".join(problems) or f"{done} steps checked")
+    return not problems, "; ".join(problems) or f"{done} steps checked"
 
 
-def criterion_7():
+def _degree_well_defined(threads):
     samples, seed = 1000, 987
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tris = [build(r, s, t) for (r, s, t) in
             ((3, 3, 0), (6, 3, 0), (4, 4, 0), (5, 4, 2), (6, 4, 3),
@@ -160,13 +137,11 @@ def criterion_7():
         if any(tutte_parity(tri, c, a) != d2 for a in (1, 2, 3, 4)):
             problems.append(f"parity identity fails on {tri.descriptor()}")
             break
-    return _record("C7", "degree well-definedness + parity", not problems, t0,
-                   "; ".join(problems) or f"{samples} colorings checked")
+    return not problems, "; ".join(problems) or f"{samples} colorings checked"
 
 
-def criterion_8():
+def _ns_minimal_oracle(threads):
     zero_samples, obstructed_samples, seed = 200, 20, 555
-    t0 = time.perf_counter()
     tri = build(6, 6, 0)
     rng = random.Random(seed)
     c0 = Coloring(tri, 4, three_coloring(tri).colors)
@@ -185,7 +160,6 @@ def criterion_8():
             problems.append("a degree-0 state did not reduce to the 3-coloring")
             break
         got += 1
-    from .coloring import nonsingular_coloring
     c = nonsingular_coloring(tri)
     for _ in range(obstructed_samples):
         for _ in range(5):
@@ -199,14 +173,12 @@ def criterion_8():
         if report.get("trivial") or report["degree_mod4"] != 2:
             problems.append("obstructed-class reduction lost the 2 (mod 4) law")
             break
-    return _record("C8", "NS-minimal reduction oracle", not problems, t0,
-                   "; ".join(problems) or
-                   f"{zero_samples}+{obstructed_samples} reductions checked")
+    return not problems, ("; ".join(problems) or
+                          f"{zero_samples}+{obstructed_samples} reductions checked")
 
 
-def criterion_9():
+def _gluing_arithmetic(threads):
     glues, extensions, seed = 100, 50, 31415
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     problems = []
     done_glue = 0
@@ -237,13 +209,11 @@ def criterion_9():
         rep = degree(w.tri, w)
         if rep.degree_abs != 54 or rep.degree % 12 != 6:
             problems.append(f"T(6,18) witness has |deg|={rep.degree_abs}, want 54")
-    return _record("C9", "gluing / extension arithmetic", not problems, t0,
-                   "; ".join(problems) or
-                   f"{glues} glues + {extensions} extensions + T(6,18) witness")
+    return not problems, ("; ".join(problems) or
+                          f"{glues} glues + {extensions} extensions + T(6,18) witness")
 
 
-def criterion_10():
-    t0 = time.perf_counter()
+def _width3_degree_zero(threads):
     details = []
     ok = True
     for s in range(3, 7):
@@ -252,7 +222,7 @@ def criterion_10():
         if set(res.histogram) != {0}:
             ok = False
             details.append(f"T(3,{s}) has nonzero degrees {set(res.histogram)}")
-    return _record("C10", "width-3 tori have degree 0", ok, t0, ", ".join(details))
+    return ok, ", ".join(details)
 
 
 def _brute_force_count(tri, q):
@@ -276,8 +246,7 @@ def _brute_force_count(tri, q):
     return count
 
 
-def criterion_11():
-    t0 = time.perf_counter()
+def _symmetry_breaking(threads):
     details = []
     ok = True
     for (r, s) in ((3, 3), (6, 3)):
@@ -287,25 +256,44 @@ def criterion_11():
         details.append(f"T({r},{s}): {pinned} x 24 vs {raw}")
         if pinned * 24 != raw:
             ok = False
-    return _record("C11", "symmetry-breaking vs brute force", ok, t0,
-                   ", ".join(details))
+    return ok, ", ".join(details)
 
 
-QUICK = (criterion_1, criterion_2, criterion_3, criterion_5, criterion_6,
-         criterion_7, criterion_8, criterion_9, criterion_10, criterion_11)
+CRITERIA = (
+    ("C1", "T(6,6) enumeration census", "quick", _t66_census),
+    ("C2", "T(6,6) Kempe classes", "quick", _t66_classes),
+    ("C3", "T(3,3) degrees and class count", "quick", _t33),
+    ("C4", "T(6,9) census and class count", "full", _t69),
+    ("C5", "witness constructions L=2..9", "quick", _witnesses),
+    ("C6", "mod-12 invariance along WSK", "quick", _mod12_along_wsk),
+    ("C7", "degree well-definedness + parity", "quick", _degree_well_defined),
+    ("C8", "NS-minimal reduction oracle", "quick", _ns_minimal_oracle),
+    ("C9", "gluing / extension arithmetic", "quick", _gluing_arithmetic),
+    ("C10", "width-3 tori have degree 0", "quick", _width3_degree_zero),
+    ("C11", "symmetry-breaking vs brute force", "quick", _symmetry_breaking),
+)
+
+
+def run_criterion(entry, threads: int = 1) -> dict:
+    """Run one CRITERIA entry: its {id, name, ok, elapsed, details} record."""
+    cid, name, _level, check = entry
+    t0 = time.perf_counter()
+    ok, details = check(threads)
+    return {"id": cid, "name": name, "ok": bool(ok),
+            "elapsed": round(time.perf_counter() - t0, 3), "details": details}
 
 
 def run_suite(level: str = "quick", threads: int = 1):
-    """Run the acceptance checks; `full` adds the multi-hour T(6,9) job."""
+    """Yield the records of the criteria of `level`, in table order;
+    `full` adds the multi-hour T(6,9) job."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    records = []
-    for fn in QUICK:
-        if fn in (criterion_1, criterion_2):
-            records.append(fn(threads=threads))
-        else:
-            records.append(fn())
-    if level == "full":
-        records.append(criterion_4(threads=threads))
-    records.sort(key=lambda r: int(r["id"][1:]))
-    return records
+    for entry in CRITERIA:
+        if level == "full" or entry[2] == "quick":
+            yield run_criterion(entry, threads)
+
+
+def line(rec: dict) -> str:
+    """The PASS/FAIL line of one record."""
+    return (f"{'PASS' if rec['ok'] else 'FAIL'} [{rec['id']}] {rec['name']} "
+            f"({rec['elapsed']:.1f}s) {rec['details']}")

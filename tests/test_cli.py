@@ -6,7 +6,7 @@ import sys
 import types
 
 import kempetorus
-from kempetorus import cli
+from kempetorus import cli, verify
 from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, grid_text, load_grid,
                                  random_proper_coloring, save_grid,
@@ -66,6 +66,52 @@ def test_construct_and_degree(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["payload"]["degree_abs"] == 18
+
+
+def test_report_triangulation_is_not_a_parameter(tmp_path, capsys):
+    # degree and reduce read their torus from the grid and construct from
+    # --L; none of them takes --tri
+    grid = tmp_path / "w.grid"
+    code, out = run(capsys, "construct", "--L", "2", "--grid-out", str(grid))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["triangulation"] == "T(6,6,0)"
+    assert rep["timings"] == {}
+    for command in ("degree", "reduce"):
+        code, out = run(capsys, command, "--grid", str(grid))
+        assert code == 0, command
+        rep = json.loads(out)
+        assert rep["triangulation"] == "T(6,6,0)", command
+        assert rep["parameters"] == {"command": command, "grid": str(grid)}
+
+
+def _stub_check(ok):
+    return lambda threads: (ok, f"threads={threads}")
+
+
+def test_verify_report(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "CRITERIA", (
+        ("C1", "passes", "quick", _stub_check(True)),
+        ("C2", "fails", "quick", _stub_check(False)),
+        ("C3", "long", "full", _stub_check(True))))
+    records = [
+        {"id": "C1", "name": "passes", "ok": True, "details": "threads=1"},
+        {"id": "C2", "name": "fails", "ok": False, "details": "threads=1"},
+        {"id": "C3", "name": "long", "ok": True, "details": "threads=1"}]
+    for level, n in (("quick", 2), ("full", 3)):
+        assert main(["verify", "--level", level]) == 1, level
+        out = capsys.readouterr()
+        rep = json.loads(out.out)
+        assert rep["command"] == "verify"
+        assert rep["triangulation"] is None
+        assert rep["payload"] == {"level": level, "ok": False,
+                                  "criteria": records[:n]}
+        assert set(rep["timings"]) == {rec["id"] for rec in records[:n]}
+        err = out.err.splitlines()
+        assert len(err) == n
+        assert err[0].startswith("PASS [C1] passes (")
+        assert err[1].startswith("FAIL [C2] fails (")
+        assert err[1].endswith(") threads=1")
 
 
 def test_construct_trace(capsys):
@@ -182,23 +228,11 @@ def test_bad_counts_exit_2(capsys):
             (["enumerate", "--tri", "T(3,3,0)", "--budget-nodes", "-1"],
              "budget_nodes must be at least 0"),
             (["classes", "--tri", "T(3,3,0)", "--budget-nodes", "-1"],
-             "budget_nodes must be at least 0")) + tuple(
-            (["classes", "--tri", "T(3,3,0)", "--budget-mem", mb],
-             "--budget-mem must be a finite positive number of MB")
-            for mb in ("inf", "-1", "nan", "0")):
+             "budget_nodes must be at least 0")):
         assert main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
         assert out.err.splitlines() == [f"error: {msg}"], argv
-
-
-def test_budget_mem_is_a_classes_option(capsys):
-    # enumerate holds no Kempe class, so it has no states budget to cap
-    assert main(["enumerate", "--tri", "T(3,3,0)", "--budget-mem", "1"]) == 2
-    assert "unrecognized arguments: --budget-mem" in capsys.readouterr().err
-    code, _ = run(capsys, "classes", "--tri", "T(3,3,0)",
-                  "--budget-mem", "0.000001")
-    assert code == 3
 
 
 def test_budget_exit_code(capsys):

@@ -63,6 +63,11 @@ def test_ns_cycles_alternate_colors_even_length():
             assert set(cols) == set(pair)
             assert all(cols[i] != cols[(i + 1) % len(cols)]
                        for i in range(len(cols)))
+            # edges[i] joins vertices i and i + 1, cyclically
+            vs = cy.vertices
+            assert [tuple(tri.edges[e][:2]) for e in cy.edges] == [
+                tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))
+                for i in range(len(vs))]
 
 
 def test_ns_cycles_empty_for_three_coloring():

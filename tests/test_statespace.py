@@ -1,9 +1,13 @@
 import itertools
+import os
+import pathlib
 import pickle
 import random
+import time
 
 import pytest
 
+from kempetorus import statespace
 from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
@@ -93,6 +97,26 @@ def test_budget_exceeded_pickles():
     exc = pickle.loads(pickle.dumps(BudgetExceeded("nodes", 5)))
     assert (exc.kind, exc.limit) == ("nodes", 5)
     assert str(exc) == "nodes budget exceeded (limit 5)"
+
+
+def _stripe_0_over_budget(tri, q, budget, collect, stripes, stripe):
+    # stripe 0 fails at once while stripe 1 is still searching
+    if stripe == 0:
+        raise BudgetExceeded("nodes", budget)
+    time.sleep(1)
+    pathlib.Path(os.environ["KEMPETORUS_STRIPE_1_DONE"]).touch()
+    return 0, {}, 0, {}
+
+
+def test_pool_waits_for_every_part(tmp_path, monkeypatch):
+    # tearing the pool down under a running worker can hang the parent,
+    # so a worker's budget error is raised once every part has returned
+    done = tmp_path / "stripe1.done"
+    monkeypatch.setenv("KEMPETORUS_STRIPE_1_DONE", str(done))
+    monkeypatch.setattr(statespace, "_enum_task", _stripe_0_over_budget)
+    with pytest.raises(BudgetExceeded):
+        enumerate_colorings(build(6, 5, 2), 4, budget_nodes=10, threads=2)
+    assert done.exists()
 
 
 def test_enumeration_threads_equivalence():
@@ -253,8 +277,12 @@ def test_kempe_move_outside_universe_is_a_bug(monkeypatch):
 
 
 def test_kempe_classes_budget():
+    # the node budget caps the enumeration, so it bounds every state held
+    tri = build(6, 3, 0)
+    res = enumerate_colorings(tri, 4)
+    assert kempe_classes(tri, 4, budget_nodes=res.nodes).total == res.total
     with pytest.raises(BudgetExceeded):
-        kempe_classes(build(6, 3, 0), 4, budget_states=10)
+        kempe_classes(tri, 4, budget_nodes=res.nodes - 1)
 
 
 def test_kempe_classes_q3():
