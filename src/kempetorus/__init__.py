@@ -14,7 +14,7 @@ from .coloring import (BudgetExceeded, Coloring, canonicalize,
                        is_proper, load_grid, nonsingular_coloring, parse_grid,
                        random_proper_coloring, save_grid, three_coloring)
 from .degree import (DegreeReport, degree, degree_residue_checks,
-                     max_degree_bound, partial_degree, tutte_parity)
+                     partial_degree, tutte_parity)
 from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,
                     wsk_trajectory)
 from .statespace import (ClassDecomposition, EnumerationResult, class_of,

@@ -35,8 +35,7 @@ EXIT_BUDGET = 3
 _t0 = 0.0  # perf_counter at the start of the current command
 
 
-def _emit_report(args, command, tri, payload, counters=None, timings=None,
-                 seed=None):
+def _emit_report(args, command, tri, payload, counters=None, timings=None):
     report = {
         "command": command,
         "parameters": {k: v for k, v in sorted(vars(args).items())
@@ -46,7 +45,6 @@ def _emit_report(args, command, tri, payload, counters=None, timings=None,
         "wall_time_s": round(time.perf_counter() - _t0, 3),
         "timings": timings or {},
         "counters": counters or {},
-        "seed": seed,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -87,7 +85,9 @@ def cmd_classes(args):
                      "representative_grid": grid_text(c.representative)}
                     for c in dec.classes],
     }
-    _emit_report(args, "classes", tri, payload)
+    _emit_report(args, "classes", tri, payload,
+                 counters={"nodes": dec.nodes, "states": dec.total,
+                           "classes": dec.num_classes})
     return 0
 
 

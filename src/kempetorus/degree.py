@@ -131,10 +131,3 @@ def degree_residue_checks(tri: Triangulation, c: Coloring) -> dict:
     label = "ergodic-class" if rep.mod12 == 0 else "obstructed-class"
     return {"degree": rep.degree, "degree_abs": rep.degree_abs,
             "mod6": rep.mod6, "mod12": rep.mod12, "label": label}
-
-
-def max_degree_bound(L: int) -> int:
-    """Largest possible |degree| of a 4-coloring of T(3L,3L)."""
-    if L < 1:
-        raise ValueError("L must be positive")
-    return 9 * L * L // 2

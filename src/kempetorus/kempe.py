@@ -72,12 +72,6 @@ def kempe_change(tri: Triangulation, c: Coloring, move: KempeMove) -> Coloring:
     return swap(c, move.a, move.b, [move.component])
 
 
-def apply_moves(tri: Triangulation, c: Coloring, moves) -> Coloring:
-    for move in moves:
-        c = kempe_change(tri, c, move)
-    return c
-
-
 def wsk_step(tri: Triangulation, c: Coloring, rng) -> Coloring:
     """One zero-temperature WSK move.
 

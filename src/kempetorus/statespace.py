@@ -16,10 +16,11 @@ the cut, so no result depends on the thread count.
 Class decomposition is a BFS over the Kempe graph on canonical states,
 one engine for every q.  A state is keyed by its color masks (bit v is
 vertex v) in first-appearance order, so a Kempe change is two mask xors
-and a re-sort.  Kempe components are found with shift-based bitboard
-flood fills (the lattice is translation invariant, so the neighbourhood
-of a vertex set is six shifted copies).  Every state is held in memory,
-once: the enumerated map from key to |degree| is also the visited table.
+and a re-sort.  A Kempe component grows from its least vertex one vertex
+at a time, each adding its neighbour mask (built once from
+`Triangulation.neighbors`, so the twisted wrap is the lattice's own).
+Every state is held in memory, once: the enumerated map from key to
+|degree| is also the visited table.
 """
 
 from __future__ import annotations
@@ -125,15 +126,17 @@ def canonical_packed(masks: list[int], n: int) -> int:
     Nonempty masks in first-appearance order (by least vertex), then empty
     ones; the first q - 1 are concatenated, mask k in bits [k n, (k+1) n).
     """
+    ms = sorted(filter(None, masks), key=_least, reverse=True)
+    if len(ms) == len(masks):
+        ms[0] = 0  # the last of q nonempty masks is left out
     key = 0
-    for m in reversed(sorted([m for m in masks if m], key=_least)
-                      [:len(masks) - 1]):
+    for m in ms:
         key = key << n | m
     return key
 
 
 class PackedKempe:
-    """Bitboard Kempe-move engine for q colors on a fixed triangulation.
+    """Mask-based Kempe-move engine for q colors on a fixed triangulation.
 
     A state is a key over color masks, bit v being vertex v; the last
     color's mask is the complement (see `canonical_packed`).
@@ -143,48 +146,15 @@ class PackedKempe:
         self.tri = tri
         self.q = q
         n = self.n = tri.n
-        full = self.full = (1 << n) - 1
+        self.full = (1 << n) - 1
         self._shifts = tuple(k * n for k in range(q - 1))
         self._pairs = tuple(itertools.combinations(range(q), 2))
         # color k -> b"1", anything else -> b"0"; see label_masks
         self._digits = tuple(bytes(49 if i == k else 48 for i in range(256))
                              for k in range(1, q + 1))
-        r, s, t = tri.r, tri.s, tri.t
-        col1 = colr = 0
-        for y in range(s):
-            col1 |= 1 << (y * r)
-            colr |= 1 << (y * r + r - 1)
-        row1 = (1 << r) - 1
-        rows_mask = row1 << ((s - 1) * r)
-        not_col1 = full ^ col1
-        not_colr = full ^ colr
-        not_row1 = full ^ row1
-        not_rows = full ^ rows_mask
-
-        def east(m):
-            return ((m & not_colr) << 1) | ((m & colr) >> (r - 1))
-
-        def west(m):
-            return ((m & not_col1) >> 1) | ((m & col1) << (r - 1))
-
-        def north(m):
-            top = m >> ((s - 1) * r)
-            if t:
-                top = ((top << t) | (top >> (r - t))) & row1
-            return ((m & not_rows) << r) | top
-
-        def south(m):
-            bot = m & row1
-            if t:
-                bot = ((bot >> t) | (bot << (r - t))) & row1
-            return ((m & not_row1) >> r) | (bot << ((s - 1) * r))
-
-        def neighborhood(m):
-            nn = north(m)
-            ss = south(m)
-            return east(m) | west(m) | nn | ss | east(nn) | west(ss)
-
-        self._nbh = neighborhood
+        # vertex bit -> mask of its six neighbours
+        self._nbrs = {1 << v: sum(1 << w for w in nb)
+                      for v, nb in enumerate(tri.neighbors)}
 
     def label_masks(self, colors) -> list[int]:
         """The masks of colors 1..q, in label order, of a color sequence."""
@@ -213,18 +183,24 @@ class PackedKempe:
         return canonical_packed(self.color_masks(key), self.n)
 
     def components(self, region: int) -> list[int]:
-        nbh = self._nbh
+        """Connected components of a vertex mask, least vertex first.
+
+        Each component grows from its least vertex by popping one vertex
+        at a time off a to-do mask, so every vertex is visited once.
+        """
+        nbrs = self._nbrs
         comps = []
-        rem = region
-        while rem:
-            comp = rem & -rem
-            while True:
-                grown = comp | (nbh(comp) & region)
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(comp)
-            rem &= ~comp
+        rest = region
+        while rest:
+            before = rest
+            todo = rest & -rest
+            rest ^= todo
+            while todo:
+                bit = todo & -todo
+                new = nbrs[bit] & rest
+                rest ^= new
+                todo ^= bit | new  # new lay in rest, so never in todo
+            comps.append(before ^ rest)
         return comps
 
     def neighbor_keys(self, key: int) -> list[int]:
@@ -347,6 +323,7 @@ class ClassDecomposition:
     q: int
     total: int
     classes: list
+    nodes: int  # DFS assignments of the enumeration
 
     @property
     def num_classes(self) -> int:
@@ -405,10 +382,11 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
                   threads: int = 1) -> ClassDecomposition:
     """Partition all canonical proper q-colorings into Kempe classes.
 
-    One bitboard engine serves every q, with every state held in memory;
-    a class is represented by its member with the least key.  For q = 4
-    each class reports its |degree| histogram, and on 3-colorable tori its
-    |degree| residue mod 12, checked to be single (the Kempe invariant).
+    One mask engine, `PackedKempe`, serves every q, with every state held
+    in memory; a class is represented by its member with the least key.
+    For q = 4 each class reports its |degree| histogram, and on
+    3-colorable tori its |degree| residue mod 12, checked to be single
+    (the Kempe invariant).
     Elsewhere the invariant does not hold and the residue is None.
     `budget_nodes` caps the enumeration; each state is one leaf
     assignment, so it also caps the states held.
@@ -434,7 +412,7 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     total = sum(c.size for c in classes)
     assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
-    return ClassDecomposition(tri, q, total, classes)
+    return ClassDecomposition(tri, q, total, classes, enum.nodes)
 
 
 def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,

@@ -44,10 +44,14 @@ def test_enumerate_t33(capsys):
 
 
 def test_classes_t33(capsys):
+    code, out = run(capsys, "enumerate", "--tri", "T(3,3,0)", "--q", "4")
+    nodes = json.loads(out)["counters"]["nodes"]
     code, out = run(capsys, "classes", "--tri", "T(3,3,0)", "--q", "4")
     assert code == 0
     rep = json.loads(out)
     assert rep["payload"]["num_classes"] == 1
+    # the enumeration's DFS nodes, and every state in one class
+    assert rep["counters"] == {"nodes": nodes, "states": 10, "classes": 1}
     grid = rep["payload"]["classes"][0]["representative_grid"]
     assert grid.startswith("T 3 3 0 4\n")
     # the mod-12 degree is a 4-coloring invariant only
@@ -87,6 +91,24 @@ def test_report_triangulation_is_not_a_parameter(tmp_path, capsys):
 
 def _stub_check(ok):
     return lambda threads: (ok, f"threads={threads}")
+
+
+def test_reports_have_no_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "CRITERIA", (
+        ("C1", "passes", "quick", _stub_check(True)),))
+    grid = tmp_path / "w.grid"
+    for argv in (["build", "--tri", "T(3,3,0)"],
+                 ["enumerate", "--tri", "T(3,3,0)"],
+                 ["classes", "--tri", "T(3,3,0)"],
+                 ["construct", "--L", "2", "--grid-out", str(grid)],
+                 ["degree", "--grid", str(grid)],
+                 ["reduce", "--grid", str(grid)],
+                 ["verify"]):
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        rep = json.loads(out)
+        assert rep["command"] == argv[0]
+        assert "seed" not in rep, argv
 
 
 def test_verify_report(capsys, monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 from kempetorus.coloring import (Coloring, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
 from kempetorus.degree import (degree, degree_residue_checks,
-                               face_degree_counts, max_degree_bound,
-                               tutte_parity)
+                               face_degree_counts, tutte_parity)
 from kempetorus.fixtures import load_fixture
 from kempetorus.lattice import build
 
@@ -146,12 +145,6 @@ def test_residue_checks_labels():
         degree_residue_checks(build(4, 4, 0),
                               random_proper_coloring(build(4, 4, 0), 4,
                                                      random.Random(0)))
-
-
-def test_max_degree_bound():
-    assert max_degree_bound(2) == 18
-    assert max_degree_bound(1) == 4
-    assert max_degree_bound(3) == 40
 
 
 def test_partial_degree_skips_uncolored():

@@ -7,7 +7,7 @@ from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
-from kempetorus.kempe import apply_moves, wsk_step
+from kempetorus.kempe import kempe_change, wsk_step
 from kempetorus.lattice import NotSimpleError, build
 from kempetorus.nonsingular import (_cycle_homotopy, algcr, all_ns_cycles,
                                     check_ns_minimal_structure, classify_edges,
@@ -16,6 +16,13 @@ from kempetorus.nonsingular import (_cycle_homotopy, algcr, all_ns_cycles,
 
 def as4(c):
     return Coloring(c.tri, 4, c.colors)
+
+
+def apply_moves(tri, c, moves):
+    """Replay a Kempe move log; each move must be valid where it is made."""
+    for move in moves:
+        c = kempe_change(tri, c, move)
+    return c
 
 
 def test_nonsingular_coloring_has_no_singular_edges():

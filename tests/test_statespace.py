@@ -183,14 +183,24 @@ def test_packed_engine_neighbors_match_generic_path():
             assert set(eng.neighbor_keys(eng.pack(c))) == ref, (r, s, t, q)
 
 
-def test_packed_neighborhood_matches_lattice():
-    # PackedKempe's shifts re-derive the twisted wrap; pin them to `lattice`
+def test_packed_components_match_kempe_components():
+    # the mask fill against kempe's flood fill, across every twisted wrap.
+    # Uniform random labellings need not be proper, so tori without a
+    # proper 4-coloring are covered too; a pair's region then holds about
+    # half the vertices, the triangular lattice's site percolation
+    # threshold, so its components come in many sizes
+    rng = random.Random(29)
     for tri in SMALL_TORI + [build(16, 16, 1), build(12, 6, 3),
                              build(27, 27, 0)]:
-        nbh = PackedKempe(tri, 4)._nbh
-        for v in range(tri.n):
-            want = sum(1 << w for w in tri.neighbors[v])
-            assert nbh(1 << v) == want, (tri.descriptor(), v)
+        eng = PackedKempe(tri, 4)
+        for _ in range(4):
+            c = Coloring(tri, 4, bytes(rng.choices(range(1, 5), k=tri.n)))
+            masks = eng.label_masks(c.colors)
+            for a, b in itertools.combinations(range(4), 2):
+                want = [sum(1 << v for v in comp)
+                        for comp in kempe_components(tri, c, a + 1, b + 1)]
+                assert eng.components(masks[a] | masks[b]) == want, (
+                    tri.descriptor(), c.colors, a, b)
 
 
 def test_packed_roundtrip_and_canonical():
