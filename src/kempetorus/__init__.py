@@ -17,7 +17,7 @@ from .degree import (DegreeReport, degree, degree_residue_checks,
                      partial_degree, tutte_parity)
 from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,
                     wsk_trajectory)
-from .statespace import (ClassDecomposition, EnumerationResult, class_of,
+from .statespace import (ClassDecomposition, EnumerationResult,
                          enumerate_colorings, kempe_classes)
 from .construct import (ConstructionTrace, build_strip, construct_deg6,
                         construct_deg6_symmetric, extend_periodic, glue_strip,

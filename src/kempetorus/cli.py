@@ -134,7 +134,6 @@ def cmd_wsk(args):
         start = "three" if tri.is_three_colorable() else "random"
     c = _start_coloring(tri, start, args.seed)
     rng = random.Random(args.seed)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
 
     def row(step, state):
         if args.record == "states":
@@ -142,11 +141,13 @@ def cmd_wsk(args):
         rep = degree(tri, state)
         return [step, rep.degree_abs, rep.mod12]
 
+    first = row(0, c)  # a start the record rejects fails before any output
+    out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
         w.writerow(["step", "state"] if args.record == "states"
                    else ["step", "degree_abs", "degree_mod12"])
-        w.writerow(row(0, c))
+        w.writerow(first)
         for step, state in enumerate(wsk_trajectory(tri, c, args.steps, rng), 1):
             w.writerow(row(step, state))
     finally:

@@ -132,14 +132,19 @@ def expand_row_pattern(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in flat if not ch.isspace())
 
 
+def _row_colors(rows, r: int, s: int, t: int) -> bytes:
+    """The colors of T(r,s,t) from s rows of length r (row y=1 first)."""
+    rows = [tuple(row) for row in rows]
+    if len(rows) != s or any(len(row) != r for row in rows):
+        raise ValueError(
+            f"need {s} rows of length {r} for T({r},{s},{t}), got "
+            f"{[len(row) for row in rows]}")
+    return bytes(x for row in rows for x in row)
+
+
 def coloring_from_rows(tri: Triangulation, rows, q: int = 4) -> Coloring:
     """Assemble a coloring from s rows of length r (row y=1 first)."""
-    rows = [tuple(row) for row in rows]
-    if len(rows) != tri.s or any(len(row) != tri.r for row in rows):
-        raise ValueError(
-            f"need {tri.s} rows of length {tri.r} for {tri.descriptor()}, got "
-            f"{[len(row) for row in rows]}")
-    return Coloring(tri, q, bytes(x for row in rows for x in row))
+    return Coloring(tri, q, _row_colors(rows, tri.r, tri.s, tri.t))
 
 
 def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
@@ -181,12 +186,12 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
     raise BudgetExceeded(f"{tri.descriptor()} random-start restarts", 1000)
 
 
-# Grid text: header "T r s t q", then exactly s lines of r digits, row y=1
-# first; blank lines may follow.
+# Grid text: header "T r s t q" (q any integer), then exactly s lines of r
+# one-digit colors, row y=1 first; blank lines may follow.
 
 def grid_text(c: Coloring) -> str:
-    if c.q > 9:
-        raise ValueError("grid format supports q <= 9")
+    if max(c.colors, default=0) > 9:
+        raise ValueError("grid format writes colors 1..9 only, one digit each")
     return "".join([f"T {c.tri.r} {c.tri.s} {c.tri.t} {c.q}\n",
                     *("".join(map(str, row)) + "\n" for row in c.rows())])
 
@@ -200,8 +205,9 @@ def parse_grid(text: str) -> Coloring:
     rows = [line.strip() for line in lines[1:]]
     if any(rows[s:]):
         raise ValueError(f"grid has more rows than the header's s = {s}")
-    return coloring_from_rows(build(r, s, t),
-                              [map(int, row) for row in rows[:s]], q)
+    # the shape is checked before `build`, which costs O(r s) memory
+    colors = _row_colors([map(int, row) for row in rows[:s]], r, s, t)
+    return Coloring(build(r, s, t), q, colors)
 
 
 def save_grid(c: Coloring, path) -> None:

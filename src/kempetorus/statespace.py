@@ -13,26 +13,26 @@ with several threads every pool worker runs it once to cut the tree at
 depth min(2r, n // 2), then once more below its own interleaved share of
 the cut, so no result depends on the thread count.
 
-Class decomposition is a BFS over the Kempe graph on canonical states,
-one engine for every q.  A state is keyed by its color masks (bit v is
-vertex v) in first-appearance order, so a Kempe change is two mask xors
-and a re-sort.  A Kempe component grows from its least vertex one vertex
-at a time, each adding its neighbour mask (built once from
-`Triangulation.neighbors`, so the twisted wrap is the lattice's own).
+Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
+graph on canonical states, with one engine for every q.  A state is
+keyed by its color masks (bit v is vertex v) in first-appearance order,
+so a Kempe change is two mask xors and a re-sort.  A Kempe component
+grows from its least vertex one vertex at a time, each adding its
+neighbour mask (built once from `Triangulation.neighbors`, so the
+twisted wrap is the lattice's own).
 Every state is held in memory, once: the enumerated map from key to
 |degree| is also the visited table.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
 
-from .coloring import BudgetExceeded, Coloring, three_coloring
-from .degree import degree_residue_checks, sign_table
+from .coloring import BudgetExceeded, Coloring
+from .degree import sign_table
 from .lattice import Triangulation
 
 
@@ -168,19 +168,11 @@ class PackedKempe:
         masks.append(full ^ sum(masks))  # disjoint, so the sum is the union
         return masks
 
-    def pack(self, c: Coloring) -> int:
-        """Key of `c` with its colors as labeled, so unpack(pack(c)) == c."""
-        return sum(m << k for m, k in zip(self.label_masks(c.colors),
-                                          self._shifts))
-
     def unpack(self, key: int) -> Coloring:
         masks = self.color_masks(key)
         return Coloring(self.tri, self.q, bytes(
             next(col for col, m in enumerate(masks, 1) if m >> v & 1)
             for v in range(self.n)))
-
-    def canonical(self, key: int) -> int:
-        return canonical_packed(self.color_masks(key), self.n)
 
     def components(self, region: int) -> list[int]:
         """Connected components of a vertex mask, least vertex first.
@@ -330,51 +322,34 @@ class ClassDecomposition:
         return len(self.classes)
 
 
-def _bfs_levels(neighbors, seed, seen, budget_states=None):
-    """Yield the BFS levels of the Kempe class of `seed`.
-
-    `neighbors(state)` lists the canonical states one Kempe change away.
-    `seen` maps every admissible state to a value, which is set to None
-    once the state is yielded; callers share it across classes.  A level
-    maps its states to their values.  A state missing from `seen` is a
-    bug; more than `budget_states` states raise BudgetExceeded.
-    """
-    level = {seed: seen[seed]}
-    size = 0
-    while level:
-        size += len(level)
-        if budget_states is not None and size > budget_states:
-            raise BudgetExceeded("states", budget_states)
-        for state in level:
-            seen[state] = None
-        yield level
-        nxt = {}
-        try:
-            for state in level:
-                for k in neighbors(state):
-                    v = seen[k]
-                    if v is not None:
-                        nxt[k] = v
-        except KeyError:
-            raise AssertionError(
-                "Kempe move left the enumerated state universe: bug") from None
-        level = nxt
-
-
 def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     """BFS one Kempe class; returns (size, |degree| histogram, least key).
 
-    `degs` maps every enumerated state to its |degree|, or to None once
-    a class search has reached it.
+    `degs` maps every enumerated state to its |degree|, and is set to
+    None for each state the search reaches; callers share it across
+    classes.  A Kempe move to a state missing from `degs` is a bug.
     """
     size = 0
     least = seed
     dhist: dict[int, int] = {}
-    for level in _bfs_levels(engine.neighbor_keys, seed, degs):
+    level = {seed: degs[seed]}
+    while level:
         size += len(level)
         least = min(least, min(level))
-        for d in level.values():
+        for state, d in level.items():
+            degs[state] = None
             dhist[d] = dhist.get(d, 0) + 1
+        nxt = {}
+        try:
+            for state in level:
+                for k in engine.neighbor_keys(state):
+                    d = degs[k]
+                    if d is not None:
+                        nxt[k] = d
+        except KeyError:
+            raise AssertionError(
+                "Kempe move left the enumerated state universe: bug") from None
+        level = nxt
     return size, dhist, least
 
 
@@ -413,28 +388,3 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
     return ClassDecomposition(tri, q, total, classes, enum.nodes)
-
-
-def class_of(tri: Triangulation, c: Coloring, *, certify: bool = False,
-             budget_states: int = 200_000) -> dict:
-    """Degree residue mod 12 as a sound Kempe-class separator.
-
-    Distinct residues imply distinct classes on 3-colorable tori.  With
-    `certify`, a bounded BFS checks reachability of the 3-coloring.
-    """
-    checks = degree_residue_checks(tri, c)
-    out = {"residue": checks["mod12"], "label": checks["label"],
-           "certified_with_three_coloring": None}
-    if certify:
-        engine = PackedKempe(tri, c.q)
-        target = engine.canonical(engine.pack(
-            Coloring(tri, 4, three_coloring(tri).colors)))
-        seed = engine.canonical(engine.pack(c))
-        levels = _bfs_levels(engine.neighbor_keys, seed,
-                             collections.defaultdict(int), budget_states)
-        try:
-            out["certified_with_three_coloring"] = any(
-                target in level for level in levels)
-        except BudgetExceeded:
-            pass
-    return out

@@ -8,7 +8,7 @@ import types
 import kempetorus
 from kempetorus import cli, verify
 from kempetorus.cli import main
-from kempetorus.coloring import (Coloring, grid_text, load_grid,
+from kempetorus.coloring import (Coloring, grid_text, load_grid, parse_grid,
                                  random_proper_coloring, save_grid,
                                  three_coloring)
 from kempetorus.fixtures import load_fixture
@@ -59,6 +59,18 @@ def test_classes_t33(capsys):
     assert code == 0
     assert [c["residue"] for c in json.loads(out)["payload"]["classes"]] \
         == [None]
+
+
+def test_classes_q10_grids_roundtrip(capsys):
+    # q is written as a number; only colors above 9 have no grid form
+    code, out = run(capsys, "classes", "--tri", "T(3,3,0)", "--q", "10")
+    assert code == 0
+    grids = [c["representative_grid"]
+             for c in json.loads(out)["payload"]["classes"]]
+    assert grids
+    for grid in grids:
+        c = parse_grid(grid)
+        assert c.q == 10 and grid_text(c) == grid
 
 
 def test_construct_and_degree(tmp_path, capsys):
@@ -184,6 +196,23 @@ def test_wsk_start_must_color_the_torus(tmp_path, capsys):
             assert out.err.splitlines() == [
                 f"error: --start grid {grid} is not a proper coloring of "
                 f"{tri} (the grid is on {on})"], (grid, record)
+
+
+def test_wsk_degrees_of_a_five_coloring_exit_2_before_any_output(tmp_path,
+                                                                 capsys):
+    g5, csv_out = tmp_path / "g5.grid", tmp_path / "w.csv"
+    save_grid(random_proper_coloring(build(6, 6, 0), 5, random.Random(4)), g5)
+    argv = ["wsk", "--tri", "T(6,6,0)", "--start", str(g5), "--steps", "3"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: degree is defined for 4-colorings only"]
+    assert main(argv + ["--out", str(csv_out)]) == 2
+    assert not csv_out.exists()
+    # states need no degree, so they are recorded for any q
+    code, out = run(capsys, *argv, "--record", "states")
+    assert code == 0 and len(out.splitlines()) == 5
 
 
 def test_degree_rejects_rows_beyond_header(tmp_path, capsys):

@@ -139,10 +139,13 @@ def test_grid_roundtrip_bit_exact():
 
 
 def test_grid_rejects_wide_palettes():
+    # the header writes any q, but a color above 9 has no one-digit form
     tri = build(3, 3, 0)
-    c = Coloring(tri, 12, bytes([1, 2, 3, 2, 3, 1, 3, 1, 2]))
-    with pytest.raises(ValueError):
+    c = Coloring(tri, 12, bytes([1, 2, 3, 2, 3, 1, 3, 1, 10]))
+    with pytest.raises(ValueError, match="one digit"):
         grid_text(c)
+    c = Coloring(tri, 12, bytes([1, 2, 3, 2, 3, 1, 3, 1, 2]))
+    assert parse_grid(grid_text(c)) == c
 
 
 def test_grid_rows_beyond_header_are_rejected():
@@ -153,6 +156,17 @@ def test_grid_rows_beyond_header_are_rejected():
     assert parse_grid(text + "\n  \n\n").tri == build(3, 6, 0)
     with pytest.raises(ValueError):
         parse_grid("T 3 6 0 4\n123\n231\n")  # too few rows
+
+
+def test_grid_shape_is_checked_before_the_torus_is_built(monkeypatch):
+    # building T(100000,100000) would take gigabytes for a two-line file
+    def no_build(*args):
+        raise AssertionError("build called before the shape check")
+
+    monkeypatch.setattr(kempetorus.coloring, "build", no_build)
+    with pytest.raises(ValueError, match=r"need 100000 rows of length 100000 "
+                       r"for T\(100000,100000,0\), got \[4\]"):
+        parse_grid("T 100000 100000 0 4\n1234\n")
 
 
 def test_fixtures_are_proper():

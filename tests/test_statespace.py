@@ -9,14 +9,13 @@ import pytest
 
 from kempetorus import statespace
 from kempetorus.cli import main
-from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
+from kempetorus.coloring import (Coloring, canonicalize,
                                  random_proper_coloring, three_coloring)
-from kempetorus.degree import degree_residue_checks
-from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import KempeMove, kempe_change, kempe_components
 from kempetorus.lattice import NotSimpleError, build
-from kempetorus.statespace import (BudgetExceeded, PackedKempe, class_of,
-                                   enumerate_colorings, kempe_classes)
+from kempetorus.statespace import (BudgetExceeded, PackedKempe,
+                                   canonical_packed, enumerate_colorings,
+                                   kempe_classes)
 
 from oracles import (brute_force_colorings, brute_force_count,
                      brute_force_kempe_classes, canonical_abs_census,
@@ -179,8 +178,10 @@ def test_packed_engine_neighbors_match_generic_path():
                         continue
                     for comp in comps:
                         c2 = kempe_change(tri, c, KempeMove(a, b, comp))
-                        ref.add(eng.canonical(eng.pack(c2)))
-            assert set(eng.neighbor_keys(eng.pack(c))) == ref, (r, s, t, q)
+                        ref.add(canonical_packed(eng.label_masks(c2.colors),
+                                                 tri.n))
+            key = canonical_packed(eng.label_masks(c.colors), tri.n)
+            assert set(eng.neighbor_keys(key)) == ref, (r, s, t, q)
 
 
 def test_packed_components_match_kempe_components():
@@ -215,9 +216,7 @@ def test_packed_roundtrip_and_canonical():
               for perm in ((1, 2, 3), (4, 1, 3), (q, 2, 1))]
         cs += [random_proper_coloring(tri, q, rng) for _ in range(10)]
         for c in cs:
-            packed = eng.pack(c)
-            assert eng.unpack(packed).colors == c.colors
-            canon = eng.canonical(packed)
+            canon = canonical_packed(eng.label_masks(c.colors), tri.n)
             assert eng.unpack(canon).colors == canonicalize(c).colors
 
 
@@ -246,9 +245,10 @@ def _check_representatives(tri, q, dec, oracle):
         # labeled class of its representative
         states = set(map(first_appearance, oracle[i]))
         assert cls.size == len(states), (tri, q)
-        least = min(eng.canonical(eng.pack(Coloring(tri, q, bytes(c))))
+        least = min(canonical_packed(eng.label_masks(c), tri.n)
                     for c in states)
-        assert eng.canonical(eng.pack(cls.representative)) == least, (tri, q)
+        assert canonical_packed(eng.label_masks(cls.representative.colors),
+                                tri.n) == least, (tri, q)
 
 
 def test_kempe_classes_match_brute_force_oracle():
@@ -309,54 +309,10 @@ def test_class_residues_are_pure():
         assert {d % 12 for d in cls.degree_abs_counts} == {cls.residue}
 
 
-def test_class_of_residues():
-    tri = build(6, 6, 0)
-    c0 = Coloring(tri, 4, three_coloring(tri).colors)
-    rec = class_of(tri, c0)
-    assert rec["residue"] == 0 and rec["label"] == "ergodic-class"
-    rec = class_of(tri, nonsingular_coloring(tri))
-    assert rec["residue"] == 6 and rec["label"] == "obstructed-class"
-
-
-def test_class_of_t99_witness():
-    from kempetorus.construct import construct_deg6_symmetric
-    c, _ = construct_deg6_symmetric(3)
-    rec = class_of(c.tri, c)
-    assert rec["residue"] == 6 and rec["label"] == "obstructed-class"
-
-
-def test_class_of_takes_the_residue_rule_from_degree():
-    for name in ("t66_ns", "t66_swap_row2", "t99_deg6", "t622_ns"):
-        c = load_fixture(name)
-        checks = degree_residue_checks(c.tri, c)
-        rec = class_of(c.tri, c)
-        assert (rec["residue"], rec["label"]) == (checks["mod12"],
-                                                  checks["label"])
-    tri = build(4, 4, 0)
-    c = random_proper_coloring(tri, 4, random.Random(0))
-    with pytest.raises(ValueError, match=r"T\(4,4,0\) is not three-colorable"):
-        class_of(tri, c)
-
-
 def test_histogram_sums_to_total():
     for (r, s, t) in ((3, 3, 0), (6, 3, 0), (5, 4, 2)):
         res = enumerate_colorings(build(r, s, t), 4)
         assert sum(res.histogram.values()) == res.total
-
-
-def test_class_of_certify_small():
-    tri = build(3, 3, 0)
-    rng = random.Random(2)
-    c = random_proper_coloring(tri, 4, rng)
-    rec = class_of(tri, c, certify=True)
-    assert rec["certified_with_three_coloring"] is True
-
-
-def test_class_of_certify_obstructed():
-    # the non-singular coloring of T(6,6) lies in the 46-state class
-    tri = build(6, 6, 0)
-    rec = class_of(tri, nonsingular_coloring(tri), certify=True)
-    assert rec["certified_with_three_coloring"] is False
 
 
 @pytest.mark.slow
