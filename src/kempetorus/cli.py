@@ -92,16 +92,19 @@ def cmd_classes(args):
 
 
 def cmd_construct(args):
-    if args.M is None or args.M == args.L:
+    symmetric = args.M is None or args.M == args.L
+    if args.trace and not symmetric:
+        raise ValueError("--trace is recorded for the symmetric witness "
+                         "only; omit --M or set it to --L")
+    if symmetric:
         c, trace = construct_deg6_symmetric(args.L)
     else:
         c = construct_deg6(args.L, args.M)
-        trace = None
     rep = degree(c.tri, c)
     payload = {"triangulation": c.tri.descriptor(),
                "degree": rep.degree, "degree_abs": rep.degree_abs,
                "degree_mod12": rep.mod12, "grid": grid_text(c)}
-    if args.trace and trace is not None:
+    if args.trace:
         payload["trace"] = [{"step": e.label, "diagonals": e.diagonals,
                              "partial_degree": e.partial_degree}
                             for e in trace.steps]

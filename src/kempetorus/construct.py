@@ -1,11 +1,17 @@
 """Constructive 4-colorings with degree 6 (mod 12): the non-ergodicity witnesses.
 
-The symmetric witness on T(3L,3L) is built by coloring counter-diagonals
-in a prescribed order.  Except for a handful of explicitly listed
-vertices per case, every vertex is forced: exactly one color of the
-diagonal's designated pair keeps the coloring proper.  A forced vertex
-admitting zero or two colors means the construction guarantee is
-violated, which is a bug, not an input condition.
+The symmetric witness on T(M,M), M = 3L, is built by coloring
+counter-diagonals Dj in a prescribed order, by the same three rules in
+every case.  The seed makes D1 1 up to some x and 2 beyond, makes D2 3 on
+an x-range and 4 elsewhere, and fills D2's mirror DM.  The mirrored sweep
+fills Dd together with its mirror D(M+2-d) for d = 3, 4, ..., from 1/2 on
+odd d and 3/4 on even d (D1 is its own mirror).  A fill gives each vertex
+the one color of the diagonal's pair that keeps the coloring proper; the
+exception rule first forces a few listed vertices of a middle diagonal
+from the other pair.  The last middle diagonals of each case follow
+explicit x-range, parity or copy rules.  A forced vertex admitting zero
+or two colors means the construction guarantee is violated, which is a
+bug, not an input condition.
 
 The builder verifies every assignment against its colored neighbours
 and asserts the running partial degree after each step against the
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from .coloring import (Coloring, coloring_from_rows, expand_row_pattern,
                        is_proper, nonsingular_coloring)
 from .degree import partial_degree
-from .lattice import Triangulation, build
+from .lattice import build
 
 
 class ConstructionError(AssertionError):
@@ -46,9 +52,9 @@ class ConstructionTrace:
 
 
 class _DiagonalBuilder:
-    def __init__(self, tri: Triangulation):
-        self.tri = tri
-        self.colors = bytearray(tri.n)
+    def __init__(self, M: int):
+        self.tri = build(M, M, 0)
+        self.colors = bytearray(self.tri.n)
         self.trace = ConstructionTrace()
         self._pending: list[int] = []
 
@@ -92,10 +98,29 @@ class _DiagonalBuilder:
             self.put(x, y, rule(x, y), source=source)
         self._pending.append(j)
 
-    def fill(self, j: int, pool, skip=()) -> None:
-        """Color every uncolored vertex on Dj with its unique choice from pool."""
+    def fill(self, j: int, pool, skip=(), first=()) -> None:
+        """Color every uncolored vertex on Dj with its unique choice from
+        pool, after forcing the vertices `first` from the other pair."""
+        other = (3, 4) if pool == (1, 2) else (1, 2)
+        for x, y in first:
+            self.forced(x, y, other)
         self.paint(j, lambda x, y: self.choice(x, y, pool),
                    f"D{j} unique choice", skip)
+
+    def seed(self, a: int, lo: int, hi: int) -> None:
+        """D1 is 1 for x <= a and 2 beyond, D2 is 3 for lo <= x <= hi and
+        4 elsewhere; then D2's mirror DM is filled from 3/4."""
+        self.paint(1, lambda x, y: 1 if x <= a else 2, "seed D1")
+        self.paint(2, lambda x, y: 3 if lo <= x <= hi else 4, "seed D2")
+        self.fill(self.tri.r, (3, 4))
+
+    def sweep(self, lo: int, hi: int) -> None:
+        """For d = lo..hi, fill Dd and its mirror D(M+2-d), from 1/2 when
+        d is odd and from 3/4 when d is even."""
+        for d in range(lo, hi + 1):
+            pool = (1, 2) if d % 2 else (3, 4)
+            self.fill(d, pool)
+            self.fill(self.tri.r + 2 - d, pool)
 
     def count(self, j: int, color: int) -> int:
         return sum(1 for v in self.tri.counter_diagonal(j)
@@ -143,27 +168,15 @@ def _case_l_eq_2():
 
 
 def _case_4k_minus_1(k: int):
-    M = 12 * k - 3
-    b = _DiagonalBuilder(build(M, M, 0))
-
-    b.paint(1, lambda x, y: 1 if x <= 6 * k - 1 else 2, "seed D1")
-    b.paint(2, lambda x, y: 3 if 3 * k + 1 <= x <= 9 * k - 1 else 4, "seed D2")
-    b.fill(M, (3, 4))
-    b.fill(3, (1, 2))
-    b.fill(M - 1, (1, 2))
+    b = _DiagonalBuilder(12 * k - 3)
+    b.seed(6 * k - 1, 3 * k + 1, 9 * k - 1)
+    b.sweep(3, 3)
     b.checkpoint("step1", expect=4)
-
-    for i in range(3 * (k - 1)):
-        j = 3 + 2 * i
-        b.fill(j + 1, (3, 4))
-        b.fill(12 * k - j - 2, (3, 4))
-        b.fill(j + 2, (1, 2))
-        b.fill(12 * k - j - 3, (1, 2))
+    b.sweep(4, 6 * k - 3)
     b.checkpoint("step2", expect=4 + 12 * (k - 1))
 
-    for x, y in ((3 * k - 1, 3 * k - 1), (9 * k - 2, 9 * k - 3)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k - 2, (1, 2))
+    b.fill(6 * k - 2, (1, 2),
+           first=((3 * k - 1, 3 * k - 1), (9 * k - 2, 9 * k - 3)))
     b.fill(6 * k + 1, (3, 4))
     b.checkpoint("step3", expect=4 + 12 * (k - 1))
 
@@ -175,29 +188,14 @@ def _case_4k_minus_1(k: int):
 
 
 def _case_4k(k: int):
-    M = 12 * k
-    b = _DiagonalBuilder(build(M, M, 0))
-
-    b.paint(1, lambda x, y: 1 if x <= 6 * k else 2, "seed D1")
-    b.paint(2, lambda x, y: 3 if 3 * k + 2 <= x <= 9 * k + 1 else 4, "seed D2")
-    b.fill(M, (3, 4))
-    b.fill(3, (1, 2))
-    b.fill(M - 1, (1, 2))
-    b.fill(4, (3, 4))
-    b.fill(M - 2, (3, 4))
+    b = _DiagonalBuilder(12 * k)
+    b.seed(6 * k, 3 * k + 2, 9 * k + 1)
+    b.sweep(3, 4)
     b.checkpoint("step1", expect=4)
-
-    for i in range(3 * (k - 1)):
-        j = 4 + 2 * i
-        b.fill(j + 1, (1, 2))
-        b.fill(12 * k - j + 1, (1, 2))
-        b.fill(j + 2, (3, 4))
-        b.fill(12 * k - j, (3, 4))
+    b.sweep(5, 6 * k - 2)
     b.checkpoint("step2", expect=4 + 12 * (k - 1))
 
-    for x, y in ((6 * k, 12 * k - 1), (12 * k, 6 * k - 1)):
-        b.forced(x, y, (1, 2))
-    b.fill(6 * k - 1, (3, 4))
+    b.fill(6 * k - 1, (3, 4), first=((6 * k, 12 * k - 1), (12 * k, 6 * k - 1)))
     b.fill(6 * k + 3, (1, 2))
     b.checkpoint("step3", expect=8 + 12 * (k - 1))
 
@@ -219,44 +217,24 @@ def _case_4k(k: int):
 
     free = ((2, 6 * k), (6 * k + 2, 12 * k)) if k % 2 else \
         ((1, 6 * k + 1), (6 * k + 1, 1))
-    for x, y in free:
-        b.forced(x, y, (1, 2))
-    b.fill(6 * k + 2, (3, 4))
+    b.fill(6 * k + 2, (3, 4), first=free)
     b.checkpoint("step5", expect=6 + 12 * (k - 1))
     return b.finish(), b.trace
 
 
 def _case_4k_plus_1(k: int):
-    M = 12 * k + 3
-    b = _DiagonalBuilder(build(M, M, 0))
-
-    b.paint(1, lambda x, y: 1 if x <= 6 * k + 2 else 2, "seed D1")
-    b.paint(2, lambda x, y: 3 if 3 * k + 3 <= x <= 9 * k + 3 else 4, "seed D2")
-    b.fill(M, (3, 4))
-    b.fill(3, (1, 2))
-    b.fill(5, (1, 2))
-    b.fill(12 * k + 2, (1, 2))
-    b.fill(12 * k, (1, 2))
-    b.fill(4, (3, 4))
-    b.fill(12 * k + 1, (3, 4))
+    b = _DiagonalBuilder(12 * k + 3)
+    b.seed(6 * k + 2, 3 * k + 3, 9 * k + 3)
+    b.sweep(3, 5)
     b.checkpoint("step1", expect=8)
-
-    for i in range(3 * (k - 1)):
-        j = 5 + 2 * i
-        b.fill(j + 1, (3, 4))
-        b.fill(12 * k - j + 4, (3, 4))
-        b.fill(j + 2, (1, 2))
-        b.fill(12 * k - j + 3, (1, 2))
+    b.sweep(6, 6 * k - 1)
     b.checkpoint("step2", expect=8 + 12 * (k - 1))
 
-    for x, y in ((3 * k, 3 * k), (9 * k + 2, 9 * k + 1)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k, (1, 2))
+    b.fill(6 * k, (1, 2), first=((3 * k, 3 * k), (9 * k + 2, 9 * k + 1)))
     # second exception listed at (3k+3,3k) in prose; the reference figure
     # places it at (3k+3,3k+2), which is the one on this diagonal
-    for x, y in ((3 * k + 3, 3 * k + 2), (9 * k + 4, 9 * k + 4)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k + 5, (1, 2))
+    b.fill(6 * k + 5, (1, 2),
+           first=((3 * k + 3, 3 * k + 2), (9 * k + 4, 9 * k + 4)))
     b.checkpoint("step3a", expect=8 + 12 * (k - 1))
 
     c_range = 3 if k % 2 else 4
@@ -308,33 +286,17 @@ def _case_4k_minus_2(k: int):
     if k < 2:
         raise ValueError("the counter-diagonal algorithm needs k >= 2")
     M = 12 * k - 6
-    b = _DiagonalBuilder(build(M, M, 0))
-
-    b.paint(1, lambda x, y: 1 if x <= 6 * k - 3 else 2, "seed D1")
-    b.paint(2, lambda x, y: 3 if 3 * k <= x <= 9 * k - 4 else 4, "seed D2")
-    b.fill(M, (3, 4))
-    b.fill(3, (1, 2))
-    b.fill(12 * k - 7, (1, 2))
-    b.fill(4, (3, 4))
-    b.fill(12 * k - 8, (3, 4))
-    b.fill(5, (1, 2))
-    b.fill(12 * k - 9, (1, 2))
+    b = _DiagonalBuilder(M)
+    b.seed(6 * k - 3, 3 * k, 9 * k - 4)
+    b.sweep(3, 5)
     b.checkpoint("step1", expect=8)
-
-    for i in range(3 * (k - 2)):
-        j = 5 + 2 * i
-        b.fill(j + 1, (3, 4))
-        b.fill(12 * k - j - 5, (3, 4))
-        b.fill(j + 2, (1, 2))
-        b.fill(12 * k - j - 6, (1, 2))
+    b.sweep(6, 6 * k - 7)
     b.checkpoint("step2", expect=8 + 12 * (k - 2))
 
-    for x, y in ((3 * k - 3, 3 * k - 3), (9 * k - 6, 9 * k - 6)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k - 6, (1, 2))
-    for x, y in ((3 * k + 1, 3 * k + 1), (9 * k - 2, 9 * k - 2)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k + 2, (1, 2))
+    b.fill(6 * k - 6, (1, 2),
+           first=((3 * k - 3, 3 * k - 3), (9 * k - 6, 9 * k - 6)))
+    b.fill(6 * k + 2, (1, 2),
+           first=((3 * k + 1, 3 * k + 1), (9 * k - 2, 9 * k - 2)))
     # prose puts the range end at 9k-4; the reference figure ends it at 9k-5
     b.ranged_diagonal(6 * k - 5, (3, 4),
                       ((3 * k - 2, 3 * k - 3), (3 * k - 3, 3 * k - 2)),
@@ -363,9 +325,8 @@ def _case_4k_minus_2(k: int):
     b.paint(6 * k, lambda x, y: c1 if 3 * k <= x <= 9 * k - 4 else c2,
             "middle diagonal rule")
 
-    for x, y in ((3 * k - 1, 3 * k - 2), (9 * k - 4, 9 * k - 5)):
-        b.forced(x, y, (3, 4))
-    b.fill(6 * k - 3, (1, 2))
+    b.fill(6 * k - 3, (1, 2),
+           first=((3 * k - 1, 3 * k - 2), (9 * k - 4, 9 * k - 5)))
     b.ranged_diagonal(6 * k - 2, (3, 4),
                       ((3 * k, 3 * k - 2), (3 * k - 1, 3 * k - 1)),
                       ((9 * k - 3, 9 * k - 5), (9 * k - 4, 9 * k - 4)),

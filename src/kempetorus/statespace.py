@@ -9,9 +9,10 @@ colors beyond 3 must first appear in ascending order, which is vacuous for
 q=4.
 The signed degree is maintained incrementally as faces complete, so the
 |degree| histogram costs O(1) per leaf.  `_dfs` is the only backtracker:
-with several threads every pool worker runs it once to cut the tree at
-depth min(2r, n // 2), then once more below its own interleaved share of
-the cut, so no result depends on the thread count.
+with several threads each of the `threads` pool tasks runs it once to cut
+the tree at depth min(2r, n // 2), then once more below its own
+interleaved share of the cut, so no result depends on the thread count
+nor on the pool's size, which never exceeds the CPU count.
 
 Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
 graph on canonical states, with one engine for every q.  A state is
@@ -29,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 from .coloring import BudgetExceeded, Coloring
@@ -260,11 +262,11 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
 
     `collect` maps the canonical key of every state to its |degree|
     (meaningful for q = 4).  One thread searches the whole tree
-    in-process; with `threads` > 1 each worker of a process pool cuts
-    the tree at depth min(2r, n // 2) and searches below its own
-    interleaved share of the cut.  Results, node count included, are
-    independent of `threads`, and so is whether `budget_nodes` is
-    exceeded.
+    in-process; with `threads` > 1 the tree is cut at depth
+    min(2r, n // 2) into `threads` interleaved stripes, each searched by
+    one task of a process pool of at most `os.cpu_count()` workers.
+    Results, node count included, are independent of `threads`, and so
+    is whether `budget_nodes` is exceeded.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -277,7 +279,7 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     if threads > 1:
         # map re-raises a worker's error only once every part has
         # returned, so the pool is never torn down under a running worker
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(min(threads, os.cpu_count() or 1)) as pool:
             parts = pool.map(task, range(threads))
     else:
         parts = map(task, [0])

@@ -157,6 +157,17 @@ def test_construct_trace(capsys):
     assert rep["payload"]["degree_mod12"] == 6
 
 
+def test_construct_trace_of_glued_witness_is_a_usage_error(capsys):
+    # only the symmetric witness has a trace; glued strips record none
+    assert main(["construct", "--L", "3", "--M", "4", "--trace"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --trace")
+    code, out = run(capsys, "construct", "--L", "3", "--M", "3", "--trace")
+    assert code == 0 and "trace" in json.loads(out)["payload"]
+
+
 def test_wsk_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -72,6 +72,19 @@ def test_partial_degree_ledger(L, expected):
     assert sorted(listed) == list(range(1, 3 * L + 1))
 
 
+@pytest.mark.parametrize("L", range(3, 13))
+def test_seed_and_sweep_steps_are_mirror_closed(L):
+    # the seed and both sweep steps list Dd together with D(M+2-d);
+    # D1 is its own mirror, D(M+1) = D1
+    M = 3 * L
+    _, trace = construct_deg6_symmetric(L)
+    steps = {e.label: e.diagonals for e in trace.steps}
+    for label in ("step1", "step2"):
+        listed = set(steps[label])
+        assert listed == {(M + 1 - d) % M + 1 for d in listed}, label
+    assert {1, 2, M} <= set(steps["step1"])
+
+
 # sha256 of the witness grid and its (label, partial degree) trace steps
 WITNESS_DIGESTS = {
     2: "5001a46513f3f48c4153313e63c2510ba297aaccb814187eb58c8293c387a77d",

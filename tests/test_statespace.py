@@ -134,6 +134,31 @@ def test_enumeration_threads_equivalence():
             assert solo.state_degrees == multi.state_degrees, (rst, threads)
 
 
+def test_pool_never_exceeds_the_cpu_count(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(statespace.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tri = build(9, 3, 0)
+    solo = enumerate_colorings(tri, 4, collect=True)
+    multi = enumerate_colorings(tri, 4, collect=True, threads=8)
+    assert requested == [2]
+    assert multi == solo
+
+
 def test_uncolorable_torus_threaded():
     # T(7,1,2) is K7: its 2 prefixes at depth 3 have no proper completion,
     # yet every part returns a degree map
