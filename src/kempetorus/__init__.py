@@ -13,8 +13,7 @@ from .coloring import (BudgetExceeded, Coloring, canonicalize,
                        coloring_from_rows, expand_row_pattern, grid_text,
                        is_proper, load_grid, nonsingular_coloring, parse_grid,
                        random_proper_coloring, save_grid, three_coloring)
-from .degree import (DegreeReport, degree, degree_residue_checks,
-                     partial_degree, tutte_parity)
+from .degree import DegreeReport, degree, partial_degree, tutte_parity
 from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,
                     wsk_trajectory)
 from .statespace import (ClassDecomposition, EnumerationResult,

@@ -185,9 +185,6 @@ def cmd_reduce(args):
     }
     if args.grid_out:
         save_grid(reduced, args.grid_out)
-    if args.log_out:
-        with open(args.log_out, "w") as fh:
-            json.dump(payload["moves"], fh, indent=2)
     _emit_report(args, "reduce", c.tri, payload)
     return 0
 
@@ -262,7 +259,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", required=True)
     p.add_argument("--grid-out", help="write the reduced grid file here")
-    p.add_argument("--log-out", help="write the Kempe move log here")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -57,9 +57,10 @@ class Coloring:
 
 
 def is_proper(tri: Triangulation, c: Coloring) -> bool:
-    """True iff no edge is monochromatic."""
-    if len(c.colors) != tri.n:
-        raise ValueError("coloring does not match triangulation size")
+    """True iff no edge is monochromatic; `c` must be a coloring of `tri`."""
+    if c.tri != tri:
+        raise ValueError(f"coloring of {c.tri.descriptor()} given for "
+                         f"{tri.descriptor()}")
     col = c.colors
     for v, row in enumerate(tri.neighbors):
         cv = col[v]

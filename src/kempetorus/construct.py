@@ -47,9 +47,6 @@ class TraceEntry:
 class ConstructionTrace:
     steps: list = field(default_factory=list)
 
-    def degrees(self) -> list[int]:
-        return [e.partial_degree for e in self.steps]
-
 
 class _DiagonalBuilder:
     def __init__(self, M: int):

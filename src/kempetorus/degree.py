@@ -115,19 +115,3 @@ def tutte_parity(tri: Triangulation, c: Coloring, a: int) -> int:
     total = sum(len(tri.neighbors[v]) for v in range(tri.n) if c.colors[v] == a)
     return total % 2
 
-
-def degree_residue_checks(tri: Triangulation, c: Coloring) -> dict:
-    """Residue record for a proper 4-coloring of a 3-colorable torus.
-
-    deg = 0 (mod 6) is a theorem there; a violation means the degree
-    machinery itself is broken, so it raises AssertionError rather than
-    reporting bad input.
-    """
-    if not tri.is_three_colorable():
-        raise ValueError(f"{tri.descriptor()} is not three-colorable")
-    rep = degree(tri, c)
-    assert rep.mod6 == 0, (
-        f"degree {rep.degree} not divisible by 6 on {tri.descriptor()}: bug")
-    label = "ergodic-class" if rep.mod12 == 0 else "obstructed-class"
-    return {"degree": rep.degree, "degree_abs": rep.degree_abs,
-            "mod6": rep.mod6, "mod12": rep.mod12, "label": label}

@@ -149,22 +149,27 @@ class PackedKempe:
         self.q = q
         n = self.n = tri.n
         self.full = (1 << n) - 1
-        self._shifts = tuple(k * n for k in range(q - 1))
-        self._pairs = tuple(itertools.combinations(range(q), 2))
+        # no state uses more than n colors, so n + 1 of them keep one free
+        # to swap into, and more would only add empty masks and pairs
+        m = min(q, n + 1)
+        self._shifts = tuple(k * n for k in range(m - 1))
+        self._pairs = tuple(itertools.combinations(range(m), 2))
         # color k -> b"1", anything else -> b"0"; see label_masks
         self._digits = tuple(bytes(49 if i == k else 48 for i in range(256))
-                             for k in range(1, q + 1))
+                             for k in range(1, m + 1))
         # vertex bit -> mask of its six neighbours
         self._nbrs = {1 << v: sum(1 << w for w in nb)
                       for v, nb in enumerate(tri.neighbors)}
 
     def label_masks(self, colors) -> list[int]:
-        """The masks of colors 1..q, in label order, of a color sequence."""
+        """The masks of colors 1..min(q, n + 1), in label order, of a color
+        sequence."""
         rev = bytes(colors)[::-1]  # vertex 0 is the least significant digit
         return [int(rev.translate(d), 2) for d in self._digits]
 
     def color_masks(self, key: int) -> list[int]:
-        """The q color masks of a key; the last one is the complement."""
+        """The min(q, n + 1) color masks of a key; the last one is the
+        complement."""
         full = self.full
         masks = [key >> k & full for k in self._shifts]
         masks.append(full ^ sum(masks))  # disjoint, so the sum is the union
@@ -363,7 +368,7 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     in memory; a class is represented by its member with the least key.
     For q = 4 each class reports its |degree| histogram, and on
     3-colorable tori its |degree| residue mod 12, checked to be single
-    (the Kempe invariant).
+    (the Kempe invariant) and 0 or 6 (deg = 0 mod 6 holds there).
     Elsewhere the invariant does not hold and the residue is None.
     `budget_nodes` caps the enumeration; each state is one leaf
     assignment, so it also caps the states held.
@@ -384,6 +389,8 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
             assert len(residues) == 1, (
                 f"Kempe class mixes degree residues {residues}: bug")
             residue = residues.pop()
+            assert residue in (0, 6), (
+                f"|degree| residue {residue} is not 0 or 6 (mod 12): bug")
         classes.append(KempeClass(size, residue, engine.unpack(least),
                                   dhist if q == 4 else {}))
     total = sum(c.size for c in classes)

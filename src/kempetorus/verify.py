@@ -4,12 +4,16 @@
 A check takes the thread count and returns (ok, details); it never raises
 on a mere mismatch, so the CLI can print one line per criterion.  The
 counts and residues are enforced exactly; wall time is only reported.
+A census criterion is one row of data: `_pinned` binds `_census` (one
+enumeration) or `_classes` (one `kempe_classes` call) to the exact
+answer it expects on each torus.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import partial
 
 from .coloring import (Coloring, canonicalize, is_proper, nonsingular_coloring,
                        random_proper_coloring, three_coloring)
@@ -17,55 +21,35 @@ from .construct import build_strip, construct_deg6, construct_deg6_symmetric, gl
 from .degree import degree, face_degree_counts, tutte_parity
 from .fixtures import load_fixture
 from .kempe import wsk_step
-from .lattice import build
+from .lattice import build, parse_descriptor
 from .nonsingular import check_ns_minimal_structure, ns_minimal_reduce
 from .statespace import enumerate_colorings, kempe_classes
 
 
-def _class_histogram(dec) -> dict:
-    """The |degree| histogram of a decomposition, summed over its classes."""
-    histogram: dict[int, int] = {}
-    for cls in dec.classes:
-        for d, cnt in cls.degree_abs_counts.items():
-            histogram[d] = histogram.get(d, 0) + cnt
-    return histogram
+def _census(tri, threads):
+    """(total, |degree| histogram) of one enumeration."""
+    res = enumerate_colorings(tri, 4, threads=threads)
+    return res.total, dict(sorted(res.histogram.items()))
 
 
-def _t66_census(threads):
-    res = enumerate_colorings(build(6, 6, 0), 4, threads=threads)
-    want = {0: 305192, 6: 45, 18: 1}
-    ok = res.total == 305238 and res.histogram == want
-    return ok, f"total={res.total} histogram={dict(sorted(res.histogram.items()))}"
+def _classes(tri, threads):
+    """[(size, residue, |degree| histogram)] of each Kempe class, largest
+    first, as `kempe_classes` orders them."""
+    dec = kempe_classes(tri, 4, threads=threads)
+    return [(c.size, c.residue, dict(sorted(c.degree_abs_counts.items())))
+            for c in dec.classes]
 
 
-def _t66_classes(threads):
-    dec = kempe_classes(build(6, 6, 0), 4, threads=threads)
-    sizes = sorted(c.size for c in dec.classes)
-    small = min(dec.classes, key=lambda c: c.size)
-    ok = (dec.num_classes == 2 and sizes == [46, 305238 - 46]
-          and small.degree_abs_counts == {6: 45, 18: 1}
-          and small.residue == 6)
-    return ok, (f"classes={[(c.size, c.residue) for c in dec.classes]} "
-                f"small-class degrees={small.degree_abs_counts}")
-
-
-def _t33(threads):
-    dec = kempe_classes(build(3, 3, 0), 4)
-    histogram = _class_histogram(dec)
-    ok = set(histogram) == {0} and dec.num_classes == 1
-    return ok, (f"total={dec.total} histogram={histogram} "
-                f"classes={dec.num_classes}")
-
-
-def _t69(threads):
-    """The long T(6,9) job: many hours of CPU, and tens of GB of memory
-    for the map from each of the 299146792 states to its |degree|."""
-    dec = kempe_classes(build(6, 9, 0), 4, threads=threads)
-    histogram = _class_histogram(dec)
-    ok = (dec.total == 299146792 and dec.num_classes == 1
-          and set(histogram) == {0})
-    return ok, (f"total={dec.total} classes={dec.num_classes} "
-                f"histogram={histogram}")
+def _pinned(answer, threads, *, pins):
+    """Compare answer(torus) with each pinned answer, {descriptor: answer},
+    in turn; fail at the first torus that differs."""
+    details = []
+    for torus, want in pins.items():
+        got = answer(parse_descriptor(torus), threads)
+        if got != want:
+            return False, f"{torus} {got}, want {want}"
+        details.append(f"{torus} {got}")
+    return True, "; ".join(details)
 
 
 _WITNESS_DEGREES = {2: 18, 3: 6, 4: 6, 5: 6, 6: 6, 7: 18, 8: 18, 9: 18}
@@ -97,8 +81,7 @@ def _mod12_along_wsk(threads):
     rng = random.Random(seed)
     sizes = [(L, M) for L in range(1, 5) for M in range(1, 5)]
     done = 0
-    problems = []
-    while done < steps and not problems:
+    while done < steps:
         L, M = sizes[rng.randrange(len(sizes))]
         tri = build(3 * L, 3 * M, 0)
         c = random_proper_coloring(tri, 4, rng)
@@ -107,12 +90,10 @@ def _mod12_along_wsk(threads):
             c = wsk_step(tri, c, rng)
             done += 1
             if not is_proper(tri, c):
-                problems.append(f"improper state on {tri.descriptor()}")
-                break
+                return False, f"improper state on {tri.descriptor()}"
             if degree(tri, c).degree % 12 != residue:
-                problems.append(f"mod-12 changed on {tri.descriptor()}")
-                break
-    return not problems, "; ".join(problems) or f"{done} steps checked"
+                return False, f"mod-12 changed on {tri.descriptor()}"
+    return True, f"{done} steps checked"
 
 
 def _degree_well_defined(threads):
@@ -122,7 +103,6 @@ def _degree_well_defined(threads):
             ((3, 3, 0), (6, 3, 0), (4, 4, 0), (5, 4, 2), (6, 4, 3),
              (9, 3, 0), (6, 2, 2), (7, 5, 1))]
     targets = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-    problems = []
     for _ in range(samples):
         tri = tris[rng.randrange(len(tris))]
         c = random_proper_coloring(tri, 4, rng)
@@ -131,13 +111,11 @@ def _degree_well_defined(threads):
             p, n = face_degree_counts(tri, c.colors, tgt)
             vals.add(abs(p - n))
         if len(vals) != 1:
-            problems.append(f"|p-n| differs across targets on {tri.descriptor()}")
-            break
+            return False, f"|p-n| differs across targets on {tri.descriptor()}"
         d2 = degree(tri, c).mod2
         if any(tutte_parity(tri, c, a) != d2 for a in (1, 2, 3, 4)):
-            problems.append(f"parity identity fails on {tri.descriptor()}")
-            break
-    return not problems, "; ".join(problems) or f"{samples} colorings checked"
+            return False, f"parity identity fails on {tri.descriptor()}"
+    return True, f"{samples} colorings checked"
 
 
 def _ns_minimal_oracle(threads):
@@ -146,20 +124,15 @@ def _ns_minimal_oracle(threads):
     rng = random.Random(seed)
     c0 = Coloring(tri, 4, three_coloring(tri).colors)
     target = canonicalize(c0).colors
-    problems = []
     c = c0
-    got = 0
-    while got < zero_samples:
+    for _ in range(zero_samples):
         for _ in range(5):
             c = wsk_step(tri, c, rng)
         if degree(tri, c).degree != 0:
-            problems.append("WSK left the degree-0 shell of the c0 class")
-            break
+            return False, "WSK left the degree-0 shell of the c0 class"
         reduced, _log = ns_minimal_reduce(tri, c)
         if canonicalize(reduced).colors != target:
-            problems.append("a degree-0 state did not reduce to the 3-coloring")
-            break
-        got += 1
+            return False, "a degree-0 state did not reduce to the 3-coloring"
     c = nonsingular_coloring(tri)
     for _ in range(obstructed_samples):
         for _ in range(5):
@@ -168,21 +141,17 @@ def _ns_minimal_oracle(threads):
         try:
             report = check_ns_minimal_structure(tri, reduced)
         except AssertionError as exc:
-            problems.append(f"structure check failed: {exc}")
-            break
+            return False, f"structure check failed: {exc}"
         if report.get("trivial") or report["degree_mod4"] != 2:
-            problems.append("obstructed-class reduction lost the 2 (mod 4) law")
-            break
-    return not problems, ("; ".join(problems) or
-                          f"{zero_samples}+{obstructed_samples} reductions checked")
+            return False, "obstructed-class reduction lost the 2 (mod 4) law"
+    return True, f"{zero_samples}+{obstructed_samples} reductions checked"
 
 
 def _gluing_arithmetic(threads):
     glues, extensions, seed = 100, 50, 31415
     rng = random.Random(seed)
-    problems = []
     done_glue = 0
-    while done_glue < glues and not problems:
+    while done_glue < glues:
         L = rng.choice((3, 4, 5, 6))
         c, _ = construct_deg6_symmetric(L)
         d = degree(c.tri, c).degree
@@ -192,37 +161,20 @@ def _gluing_arithmetic(threads):
             done_glue += 1
             d2 = degree(c.tri, c).degree
             if d2 != d:
-                problems.append(f"glue changed degree {d} -> {d2} on {c.tri.descriptor()}")
-                break
+                return False, f"glue changed degree {d} -> {d2} on {c.tri.descriptor()}"
     for _ in range(extensions):
-        if problems:
-            break
         tri = build(rng.choice((3, 6)), rng.choice((3, 6)), 0)
         base = random_proper_coloring(tri, 4, rng)
         d = degree(tri, base).degree
         p, q = rng.randrange(1, 4), rng.randrange(1, 4)
         ext = extend_periodic(base, p, q)
         if degree(ext.tri, ext).degree != p * q * d:
-            problems.append(f"extension broke degree arithmetic on {tri.descriptor()}")
-    if not problems:
-        w = construct_deg6(2, 6)
-        rep = degree(w.tri, w)
-        if rep.degree_abs != 54 or rep.degree % 12 != 6:
-            problems.append(f"T(6,18) witness has |deg|={rep.degree_abs}, want 54")
-    return not problems, ("; ".join(problems) or
-                          f"{glues} glues + {extensions} extensions + T(6,18) witness")
-
-
-def _width3_degree_zero(threads):
-    details = []
-    ok = True
-    for s in range(3, 7):
-        res = enumerate_colorings(build(3, s, 0), 4)
-        details.append(f"T(3,{s}): {res.total}")
-        if set(res.histogram) != {0}:
-            ok = False
-            details.append(f"T(3,{s}) has nonzero degrees {set(res.histogram)}")
-    return ok, ", ".join(details)
+            return False, f"extension broke degree arithmetic on {tri.descriptor()}"
+    w = construct_deg6(2, 6)
+    rep = degree(w.tri, w)
+    if rep.degree_abs != 54 or rep.degree % 12 != 6:
+        return False, f"T(6,18) witness has |deg|={rep.degree_abs}, want 54"
+    return True, f"{glues} glues + {extensions} extensions + T(6,18) witness"
 
 
 def _brute_force_count(tri, q):
@@ -260,16 +212,25 @@ def _symmetry_breaking(threads):
 
 
 CRITERIA = (
-    ("C1", "T(6,6) enumeration census", "quick", _t66_census),
-    ("C2", "T(6,6) Kempe classes", "quick", _t66_classes),
-    ("C3", "T(3,3) degrees and class count", "quick", _t33),
-    ("C4", "T(6,9) census and class count", "full", _t69),
+    ("C1", "T(6,6) enumeration census", "quick", partial(
+        _pinned, _census, pins={"T(6,6,0)": (305238, {0: 305192, 6: 45, 18: 1})})),
+    ("C2", "T(6,6) Kempe classes", "quick", partial(
+        _pinned, _classes, pins={"T(6,6,0)": [(305192, 0, {0: 305192}),
+                                              (46, 6, {6: 45, 18: 1})]})),
+    ("C3", "T(3,3) degrees and class count", "quick", partial(
+        _pinned, _classes, pins={"T(3,3,0)": [(10, 0, {0: 10})]})),
+    # many hours of CPU, and tens of GB for the map from each of the
+    # 299146792 states to its |degree|
+    ("C4", "T(6,9) census and class count", "full", partial(
+        _pinned, _classes, pins={"T(6,9,0)": [(299146792, 0, {0: 299146792})]})),
     ("C5", "witness constructions L=2..9", "quick", _witnesses),
     ("C6", "mod-12 invariance along WSK", "quick", _mod12_along_wsk),
     ("C7", "degree well-definedness + parity", "quick", _degree_well_defined),
     ("C8", "NS-minimal reduction oracle", "quick", _ns_minimal_oracle),
     ("C9", "gluing / extension arithmetic", "quick", _gluing_arithmetic),
-    ("C10", "width-3 tori have degree 0", "quick", _width3_degree_zero),
+    ("C10", "width-3 tori have degree 0", "quick", partial(
+        _pinned, _census, pins={f"T(3,{s},0)": (total, {0: total}) for s, total
+                                in ((3, 10), (4, 3), (5, 15), (6, 364))})),
     ("C11", "symmetry-breaking vs brute force", "quick", _symmetry_breaking),
 )
 

@@ -244,18 +244,19 @@ def test_degree_rejects_rows_beyond_header(tmp_path, capsys):
 def test_reduce_roundtrip(tmp_path, capsys):
     src = tmp_path / "ns.grid"
     reduced = tmp_path / "reduced.grid"
-    log = tmp_path / "log.json"
     fx = load_fixture("t66_ns")
     save_grid(fx, src)
     code, out = run(capsys, "reduce", "--grid", str(src),
-                    "--grid-out", str(reduced), "--log-out", str(log))
+                    "--grid-out", str(reduced))
     assert code == 0
     rep = json.loads(out)
     assert rep["payload"]["structure"]["degree_mod4"] == 2
+    assert rep["payload"]["moves"]  # the move log lives in the payload
     c = load_grid(reduced)
-    moves = json.loads(log.read_text())
-    assert len(moves) == len(rep["payload"]["moves"])
     assert c.tri.descriptor() == "T(6,6,0)"
+    # the payload's move log is the only one; --log-out is gone
+    assert main(["reduce", "--grid", str(src),
+                 "--log-out", str(tmp_path / "log.json")]) == 2
 
 
 def test_usage_error_exit_code(capsys):

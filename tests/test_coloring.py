@@ -10,8 +10,10 @@ from kempetorus.coloring import (BudgetExceeded, Coloring, canonicalize,
                                  grid_text, is_proper, nonsingular_coloring,
                                  parse_grid, random_proper_coloring,
                                  three_coloring)
+from kempetorus.degree import degree
 from kempetorus.fixtures import NAMES, load_fixture
 from kempetorus.lattice import build
+from kempetorus.nonsingular import ns_minimal_reduce
 
 from oracles import brute_force_colorings
 
@@ -55,6 +57,20 @@ def test_is_proper_counterexamples():
     assert not is_proper(tri, Coloring(tri, 4, bytes([1] * 9)))
     with pytest.raises(ValueError):
         is_proper(tri, Coloring(build(6, 3, 0), 4, bytes([1] * 18)))
+
+
+def test_is_proper_rejects_a_coloring_of_another_torus():
+    # T(6,6,3) has as many vertices as T(6,6,0), but the fixture is a
+    # coloring of T(6,6,0) (degree +18), not of the twisted torus
+    fx = load_fixture("t66_ns")
+    twisted = build(6, 6, 3)
+    assert twisted.n == fx.tri.n
+    with pytest.raises(ValueError, match="T\\(6,6,0\\) given for T\\(6,6,3\\)"):
+        is_proper(twisted, fx)
+    with pytest.raises(ValueError):
+        degree(twisted, fx)
+    with pytest.raises(ValueError):
+        ns_minimal_reduce(twisted, fx)
 
 
 def test_canonicalize_first_appearance():

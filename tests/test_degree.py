@@ -4,8 +4,7 @@ import pytest
 
 from kempetorus.coloring import (Coloring, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
-from kempetorus.degree import (degree, degree_residue_checks,
-                               face_degree_counts, tutte_parity)
+from kempetorus.degree import degree, face_degree_counts, tutte_parity
 from kempetorus.fixtures import load_fixture
 from kempetorus.lattice import build
 
@@ -133,18 +132,6 @@ def test_tutte_parity_empty_class():
     assert tutte_parity(tri, c, 4) == 0
     with pytest.raises(ValueError):
         tutte_parity(tri, c, 5)
-
-
-def test_residue_checks_labels():
-    tri = build(6, 6, 0)
-    rec = degree_residue_checks(tri, nonsingular_coloring(tri))
-    assert rec["mod12"] == 6 and rec["label"] == "obstructed-class"
-    rec = degree_residue_checks(tri, as4(three_coloring(tri)))
-    assert rec["mod12"] == 0 and rec["label"] == "ergodic-class"
-    with pytest.raises(ValueError):
-        degree_residue_checks(build(4, 4, 0),
-                              random_proper_coloring(build(4, 4, 0), 4,
-                                                     random.Random(0)))
 
 
 def test_partial_degree_skips_uncolored():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import pathlib
@@ -7,12 +8,12 @@ import time
 
 import pytest
 
-from kempetorus import statespace
+from kempetorus import statespace, verify
 from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, canonicalize,
                                  random_proper_coloring, three_coloring)
 from kempetorus.kempe import KempeMove, kempe_change, kempe_components
-from kempetorus.lattice import NotSimpleError, build
+from kempetorus.lattice import NotSimpleError, build, parse_descriptor
 from kempetorus.statespace import (BudgetExceeded, PackedKempe,
                                    canonical_packed, enumerate_colorings,
                                    kempe_classes)
@@ -311,6 +312,35 @@ def test_kempe_move_outside_universe_is_a_bug(monkeypatch):
     assert main(["classes", "--tri", "T(3,3,0)"]) == 1
 
 
+def test_kempe_classes_assert_degree_zero_mod_6(monkeypatch):
+    # deg = 0 (mod 6) on 3-colorable tori: an enumeration that shifts
+    # every |degree| by 2 keeps each class's residue single, but not 0 or 6
+    real = statespace.enumerate_colorings
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.state_degrees = {k: d + 2 for k, d in res.state_degrees.items()}
+        return res
+
+    monkeypatch.setattr(statespace, "enumerate_colorings", shifted)
+    with pytest.raises(AssertionError, match="not 0 or 6"):
+        kempe_classes(build(3, 3, 0), 4)
+    assert main(["classes", "--tri", "T(3,3,0)"]) == 1
+
+
+def test_classes_ignore_colors_no_state_can_use():
+    # T(3,3,0) has 9 vertices, so colors beyond 10 are never used and
+    # never free to swap into; they must cost nothing and change nothing
+    tri = build(3, 3, 0)
+    few, many = kempe_classes(tri, 10), kempe_classes(tri, 10 ** 6)
+    assert few.total == many.total == 125 and few.num_classes == 1
+    assert ([(c.size, c.residue, c.representative.colors)
+             for c in few.classes]
+            == [(c.size, c.residue, c.representative.colors)
+                for c in many.classes])
+    assert many.classes[0].representative.q == 10 ** 6
+
+
 def test_kempe_classes_budget():
     # the node budget caps the enumeration, so it bounds every state held
     tri = build(6, 3, 0)
@@ -347,11 +377,38 @@ def test_t66_census_slow():
     assert res.histogram == {0: 305192, 6: 45, 18: 1}
 
 
-@pytest.mark.slow
-def test_t69_total_against_transfer_matrix_slow():
-    # the paper's big count, via the independent transfer-matrix oracle
-    census = canonical_abs_census(6, 9, 0)
-    assert census == {0: 299146792}
+def _pinned_censuses():
+    """One param per torus pinned by a census row of `verify.CRITERIA`:
+    its total and |degree| histogram, summed over the classes of a class
+    list.  Tori above 18 vertices are slow for the oracle."""
+    params = []
+    for cid, _name, _level, check in verify.CRITERIA:
+        if getattr(check, "func", None) is not verify._pinned:
+            continue
+        (answer,) = check.args
+        for torus, want in check.keywords["pins"].items():
+            if answer is verify._classes:
+                total = sum(size for size, _residue, _hist in want)
+                hist = collections.Counter()
+                for _size, _residue, h in want:
+                    hist.update(h)
+            else:
+                total, hist = want
+            slow = parse_descriptor(torus).n > 18
+            params.append(pytest.param(
+                torus, total, dict(hist), id=f"{cid}-{torus}",
+                marks=[pytest.mark.slow] if slow else []))
+    return params
+
+
+@pytest.mark.parametrize("torus,total,histogram", _pinned_censuses())
+def test_pinned_census_against_transfer_matrix(torus, total, histogram):
+    # every published count the criteria pin, C4's big T(6,9) one
+    # included, via the independent transfer-matrix oracle
+    tri = parse_descriptor(torus)
+    census = canonical_abs_census(tri.r, tri.s, tri.t)
+    assert census == histogram
+    assert sum(census.values()) == total
 
 
 @pytest.mark.full
