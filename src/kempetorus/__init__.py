@@ -18,9 +18,8 @@ from .kempe import (KempeMove, kempe_change, kempe_components, wsk_step,
                     wsk_trajectory)
 from .statespace import (ClassDecomposition, EnumerationResult,
                          enumerate_colorings, kempe_classes)
-from .construct import (ConstructionTrace, build_strip, construct_deg6,
-                        construct_deg6_symmetric, extend_periodic, glue_strip,
-                        strip_rows)
+from .construct import (build_strip, construct_deg6, construct_deg6_symmetric,
+                        extend_periodic, glue_strip, strip_rows)
 from .nonsingular import (NsCycle, algcr, all_ns_cycles,
                           check_ns_minimal_structure, classify_edges,
                           ns_cycles, ns_minimal_reduce)

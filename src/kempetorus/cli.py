@@ -107,7 +107,7 @@ def cmd_construct(args):
     if args.trace:
         payload["trace"] = [{"step": e.label, "diagonals": e.diagonals,
                              "partial_degree": e.partial_degree}
-                            for e in trace.steps]
+                            for e in trace]
     if args.grid_out:
         save_grid(c, args.grid_out)
     _emit_report(args, "construct", c.tri, payload)
@@ -179,7 +179,8 @@ def cmd_reduce(args):
     payload = {
         "triangulation": c.tri.descriptor(),
         "reduced_grid": grid_text(reduced),
-        "moves": [{"a": m.a, "b": m.b, "component": sorted(m.component)}
+        "moves": [{"a": m.a, "b": m.b, "component":
+                   [v for v in range(c.tri.n) if m.component >> v & 1]}
                   for m in moves],
         "structure": report,
     }

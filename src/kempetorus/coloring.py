@@ -56,11 +56,16 @@ class Coloring:
         return Coloring(self.tri, self.q, bytes(colors))
 
 
-def is_proper(tri: Triangulation, c: Coloring) -> bool:
-    """True iff no edge is monochromatic; `c` must be a coloring of `tri`."""
+def check_torus(tri: Triangulation, c: Coloring) -> None:
+    """Raise ValueError unless `c` is a coloring of `tri` itself."""
     if c.tri != tri:
         raise ValueError(f"coloring of {c.tri.descriptor()} given for "
                          f"{tri.descriptor()}")
+
+
+def is_proper(tri: Triangulation, c: Coloring) -> bool:
+    """True iff no edge is monochromatic; `c` must be a coloring of `tri`."""
+    check_torus(tri, c)
     col = c.colors
     for v, row in enumerate(tri.neighbors):
         cv = col[v]

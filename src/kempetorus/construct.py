@@ -24,7 +24,7 @@ the T(6,6) witness an odd number of times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coloring import (Coloring, coloring_from_rows, expand_row_pattern,
                        is_proper, nonsingular_coloring)
@@ -43,16 +43,11 @@ class TraceEntry:
     partial_degree: int
 
 
-@dataclass
-class ConstructionTrace:
-    steps: list = field(default_factory=list)
-
-
 class _DiagonalBuilder:
     def __init__(self, M: int):
         self.tri = build(M, M, 0)
         self.colors = bytearray(self.tri.n)
-        self.trace = ConstructionTrace()
+        self.trace: list[TraceEntry] = []
         self._pending: list[int] = []
 
     def admissible(self, v: int, pool) -> list[int]:
@@ -128,7 +123,7 @@ class _DiagonalBuilder:
         if expect is not None and deg != expect:
             raise ConstructionError(
                 f"partial degree after {label} is {deg}, ledger says {expect}")
-        self.trace.steps.append(TraceEntry(label, self._pending, deg))
+        self.trace.append(TraceEntry(label, self._pending, deg))
         self._pending = []
         return deg
 
@@ -158,10 +153,8 @@ class _DiagonalBuilder:
 def _case_l_eq_2():
     tri = build(6, 6, 0)
     c = nonsingular_coloring(tri)
-    trace = ConstructionTrace()
-    trace.steps.append(TraceEntry("nonsingular", list(range(1, 7)),
-                                  partial_degree(tri, c.colors)))
-    return c, trace
+    return c, [TraceEntry("nonsingular", list(range(1, 7)),
+                          partial_degree(tri, c.colors))]
 
 
 def _case_4k_minus_1(k: int):
@@ -344,7 +337,7 @@ def _k(L: int) -> int:
     return (L + 2) // 4
 
 
-def construct_deg6_symmetric(L: int) -> tuple[Coloring, ConstructionTrace]:
+def construct_deg6_symmetric(L: int) -> tuple[Coloring, list[TraceEntry]]:
     """A proper 4-coloring of T(3L,3L) with degree 6 (mod 12), L >= 2."""
     if L < 2:
         raise ValueError("witnesses exist for L >= 2 only")

@@ -94,13 +94,13 @@ def partial_degree(tri: Triangulation, colors) -> int:
     return p - n
 
 
-def degree(tri: Triangulation, c: Coloring, target=(1, 2, 3)) -> DegreeReport:
-    """Degree report of a proper 4-coloring."""
+def degree(tri: Triangulation, c: Coloring) -> DegreeReport:
+    """Degree report of a proper 4-coloring, against the target (1,2,3)."""
     if c.q != 4:
         raise ValueError("degree is defined for 4-colorings only")
     if not is_proper(tri, c):
         raise ValueError("degree requires a proper coloring")
-    p, n = face_degree_counts(tri, c.colors, target)
+    p, n = face_degree_counts(tri, c.colors)
     return DegreeReport.from_counts(p, n)
 
 

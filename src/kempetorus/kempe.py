@@ -1,5 +1,9 @@
 """Kempe components, Kempe changes, and the zero-temperature WSK step.
 
+A Kempe component is a vertex mask, bit v being vertex v, and
+`components` is the library's one search for them: WSK steps, Kempe
+changes, NS surgeries and the class search all call it.
+
 RNG contract: wsk_step consumes exactly one pair draw plus one coin per
 Kempe component, with components visited in least-vertex order, so a
 seeded random.Random reproduces trajectories across platforms.
@@ -8,8 +12,9 @@ seeded random.Random reproduces trajectories across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .coloring import Coloring
+from .coloring import Coloring, check_torus
 from .lattice import Triangulation
 
 
@@ -17,55 +22,71 @@ from .lattice import Triangulation
 class KempeMove:
     a: int
     b: int
-    component: frozenset  # one connected component of the induced subgraph
+    component: int  # vertex mask of one component of the induced subgraph
 
     def __post_init__(self):
         if self.a == self.b:
             raise ValueError("a Kempe move needs two distinct colors")
 
 
-def kempe_components(tri: Triangulation, c: Coloring, a: int, b: int
-                     ) -> list[frozenset]:
-    """Connected components of the subgraph induced by colors {a, b}.
-
-    Flood fill; the result is ordered by least vertex index.
-    """
-    if a == b:
-        raise ValueError("colors must be distinct")
-    colors = c.colors
-    in_ab = [colors[v] == a or colors[v] == b for v in range(tri.n)]
-    seen = [False] * tri.n
+def components(tri: Triangulation, region: int) -> list[int]:
+    """Connected components of a vertex mask, least vertex first; each
+    grows from its least vertex, popping one vertex at a time off a to-do
+    mask and adding its neighbour mask, so every vertex is visited once."""
+    nbrs = tri.neighbor_masks
     comps = []
-    for v in range(tri.n):
-        if not in_ab[v] or seen[v]:
-            continue
-        comp = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in tri.neighbors[u]:
-                if in_ab[w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    rest = region
+    while rest:
+        before = rest
+        todo = rest & -rest
+        rest ^= todo
+        while todo:
+            bit = todo & -todo
+            new = nbrs[bit] & rest
+            rest ^= new
+            todo ^= bit | new  # new lay in rest, so never in todo
+        comps.append(before ^ rest)
     return comps
 
 
+@lru_cache(maxsize=None)
+def color_digits(*colors: int) -> bytes:
+    """Translation of colors to binary digits: b"1" for these, else b"0"."""
+    return bytes(49 if i in colors else 48 for i in range(256))
+
+
+_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to bytes 0 and 1
+
+
+def kempe_components(tri: Triangulation, c: Coloring, a: int, b: int
+                     ) -> list[int]:
+    """Vertex masks of the components colored {a, b}, least vertex first."""
+    if a == b:
+        raise ValueError("colors must be distinct")
+    check_torus(tri, c)
+    # vertex 0 is the least significant digit
+    region = int(c.colors[::-1].translate(color_digits(a, b)), 2)
+    return components(tri, region)
+
+
 def swap(c: Coloring, a: int, b: int, comps) -> Coloring:
-    """Swap colors a,b on every vertex of the given K-components."""
-    out = bytearray(c.colors)
+    """Swap colors a,b on every vertex of the given K-components: their
+    union, spread to one byte per vertex (1 on it, 0 off it) and times
+    a ^ b, is xor-ed into the colors as one integer."""
+    flip = 0
     for comp in comps:
-        for v in comp:
-            out[v] = b if out[v] == a else a
-    return c.with_colors(out)
+        flip |= comp
+    n = c.tri.n
+    # binary digits put vertex n - 1 first, hence big-endian
+    spread = int.from_bytes(format(flip, f"0{n}b").encode().translate(_BYTES),
+                            "big")
+    colors = int.from_bytes(c.colors, "little") ^ spread * (a ^ b)
+    return c.with_colors(colors.to_bytes(n, "little"))
 
 
 def kempe_change(tri: Triangulation, c: Coloring, move: KempeMove) -> Coloring:
     """Swap colors a,b on one K-component; an involution, preserves properness."""
-    comps = kempe_components(tri, c, move.a, move.b)
-    if move.component not in comps:
+    if move.component not in kempe_components(tri, c, move.a, move.b):
         raise ValueError(
             f"component is not a K-component of the coloring for pair "
             f"({move.a},{move.b})")

@@ -34,6 +34,7 @@ class Triangulation:
     __slots__ = (
         "r", "s", "t", "n",
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
+        "neighbor_masks",   # vertex bit 1 << v -> mask of its six neighbours
         "faces",            # list of vertex triples, clockwise boundary order
         "edges",            # list of (u, v, apex1, apex2) with u < v
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
@@ -56,6 +57,8 @@ class Triangulation:
                 raise NotSimpleError(
                     f"T({r},{s},{t}) is not a simple 6-regular triangulation")
         self.neighbors = nbrs
+        self.neighbor_masks = {1 << v: sum(1 << w for w in row)
+                               for v, row in enumerate(nbrs)}
 
         faces = []
         for v in range(self.n):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_proper
+from .coloring import Coloring, check_torus, is_proper
 from .degree import degree
 from .kempe import KempeMove, kempe_components, swap
 from .lattice import DISPLACEMENTS, Triangulation
@@ -57,6 +57,7 @@ class EdgeClassification:
 
 def classify_edges(tri: Triangulation, c: Coloring) -> EdgeClassification:
     """Label every edge singular / non-singular; bucket the latter by pair."""
+    check_torus(tri, c)
     singular = []
     buckets: dict[tuple[int, int], list[int]] = {p: [] for p in PAIRS}
     col = c.colors
@@ -179,7 +180,7 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
         raise AssertionError(
             "disjoint cycles of one N_ij with unequal homotopy types: bug")
     cut = {e for cy in cycles for e in cy.edges}
-    boundary = {v for cy in cycles for v in cy.vertices}
+    boundary = sum(1 << v for v in {v for cy in cycles for v in cy.vertices})
     comps = _face_components(tri, cut)
     if len(comps) != 2:
         raise AssertionError(
@@ -187,9 +188,10 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
             "regions: bug")
     sides = []
     for faces in comps:
-        interior = {v for f in faces for v in tri.faces[f]} - boundary
+        interior = ~boundary & sum(
+            1 << v for v in {v for f in faces for v in tri.faces[f]})
         # every boundary vertex and edge lies on both sides
-        chi = len(interior) + (len(boundary) - len(faces)) // 2
+        chi = interior.bit_count() + (boundary.bit_count() - len(faces)) // 2
         sides.append((-chi, len(faces), min(faces), interior))
     expected = [-1, 1] if len(cycles) == 1 else [0, 0]
     if sorted(side[0] for side in sides) != expected:

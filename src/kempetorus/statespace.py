@@ -17,10 +17,8 @@ nor on the pool's size, which never exceeds the CPU count.
 Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
 graph on canonical states, with one engine for every q.  A state is
 keyed by its color masks (bit v is vertex v) in first-appearance order,
-so a Kempe change is two mask xors and a re-sort.  A Kempe component
-grows from its least vertex one vertex at a time, each adding its
-neighbour mask (built once from `Triangulation.neighbors`, so the
-twisted wrap is the lattice's own).
+so a Kempe change is two mask xors and a re-sort; its components come
+from `kempe.components`, the library's one Kempe component search.
 Every state is held in memory, once: the enumerated map from key to
 |degree| is also the visited table.
 """
@@ -35,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .coloring import BudgetExceeded, Coloring
 from .degree import sign_table
+from .kempe import color_digits, components
 from .lattice import Triangulation
 
 
@@ -154,12 +153,7 @@ class PackedKempe:
         m = min(q, n + 1)
         self._shifts = tuple(k * n for k in range(m - 1))
         self._pairs = tuple(itertools.combinations(range(m), 2))
-        # color k -> b"1", anything else -> b"0"; see label_masks
-        self._digits = tuple(bytes(49 if i == k else 48 for i in range(256))
-                             for k in range(1, m + 1))
-        # vertex bit -> mask of its six neighbours
-        self._nbrs = {1 << v: sum(1 << w for w in nb)
-                      for v, nb in enumerate(tri.neighbors)}
+        self._digits = tuple(color_digits(k) for k in range(1, m + 1))
 
     def label_masks(self, colors) -> list[int]:
         """The masks of colors 1..min(q, n + 1), in label order, of a color
@@ -181,27 +175,6 @@ class PackedKempe:
             next(col for col, m in enumerate(masks, 1) if m >> v & 1)
             for v in range(self.n)))
 
-    def components(self, region: int) -> list[int]:
-        """Connected components of a vertex mask, least vertex first.
-
-        Each component grows from its least vertex by popping one vertex
-        at a time off a to-do mask, so every vertex is visited once.
-        """
-        nbrs = self._nbrs
-        comps = []
-        rest = region
-        while rest:
-            before = rest
-            todo = rest & -rest
-            rest ^= todo
-            while todo:
-                bit = todo & -todo
-                new = nbrs[bit] & rest
-                rest ^= new
-                todo ^= bit | new  # new lay in rest, so never in todo
-            comps.append(before ^ rest)
-        return comps
-
     def neighbor_keys(self, key: int) -> list[int]:
         """Canonical keys reachable by one Kempe change.
 
@@ -213,7 +186,7 @@ class PackedKempe:
         out = []
         for a, b in self._pairs:
             ma, mb = masks[a], masks[b]
-            comps = self.components(ma | mb)
+            comps = components(self.tri, ma | mb)
             if len(comps) <= 1:
                 continue
             for comp in comps:

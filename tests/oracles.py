@@ -2,8 +2,10 @@
 
 Nothing here shares code paths with the library's enumeration, degree,
 or class machinery: colorings are enumerated by plain backtracking over
-the adjacency lists, and the degree census comes from a row-transfer
-matrix evaluated at roots of unity.
+the adjacency lists, Kempe components come from a set-based flood fill
+(over neighbour lists rebuilt from the torus coordinates when the
+lattice itself is under test), and the degree census comes from a
+row-transfer matrix evaluated at roots of unity.
 """
 
 import itertools
@@ -108,6 +110,43 @@ def naive_degree(tri, coloring, target=(1, 2, 3)):
     return p - n
 
 
+def torus_neighbors(r, s, t):
+    """Neighbour lists of T(r,s,t) from its coordinates alone.
+
+    Vertex (x, y), 0-based, is x + y r; its neighbours lie at the
+    displacements E, W, N, S, NE, SW, and crossing the top row shifts x
+    by t (the bottom row by -t).
+    """
+    def vertex(x, y):
+        wraps, y = divmod(y, s)
+        return (x + wraps * t) % r + y * r
+
+    return [[vertex(x + dx, y + dy)
+             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
+            for y in range(s) for x in range(r)]
+
+
+def two_color_components(neighbors, colors, a, b):
+    """Components of the subgraph induced by colors {a, b}, as vertex
+    sets, least vertex first, by flood fill over `neighbors`."""
+    seen = set()
+    comps = []
+    for v in range(len(colors)):
+        if colors[v] not in (a, b) or v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in neighbors[u]:
+                if colors[w] in (a, b) and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def brute_force_kempe_classes(tri, q=4):
     """Kempe classes of all labeled proper q-colorings, by union-find.
 
@@ -127,19 +166,7 @@ def brute_force_kempe_classes(tri, q=4):
 
     for i, c in enumerate(states):
         for a, b in itertools.combinations(range(1, q + 1), 2):
-            seen = set()
-            for v in range(tri.n):
-                if c[v] not in (a, b) or v in seen:
-                    continue
-                comp = {v}
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    for w in tri.neighbors[u]:
-                        if c[w] in (a, b) and w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-                seen |= comp
+            for comp in two_color_components(tri.neighbors, c, a, b):
                 swapped = tuple((a + b - x) if k in comp else x
                                 for k, x in enumerate(c))
                 parent[find(i)] = find(index[swapped])

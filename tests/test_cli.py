@@ -12,6 +12,7 @@ from kempetorus.coloring import (Coloring, grid_text, load_grid, parse_grid,
                                  random_proper_coloring, save_grid,
                                  three_coloring)
 from kempetorus.fixtures import load_fixture
+from kempetorus.kempe import KempeMove, kempe_change
 from kempetorus.lattice import build
 
 
@@ -254,6 +255,15 @@ def test_reduce_roundtrip(tmp_path, capsys):
     assert rep["payload"]["moves"]  # the move log lives in the payload
     c = load_grid(reduced)
     assert c.tri.descriptor() == "T(6,6,0)"
+    # each move lists its component's vertices, ascending; replaying the
+    # log through kempe_change leads from the input to the reduced grid
+    state = fx
+    for m in rep["payload"]["moves"]:
+        assert m["component"] == sorted(set(m["component"]))
+        state = kempe_change(fx.tri, state, KempeMove(
+            m["a"], m["b"], sum(1 << v for v in m["component"])))
+    assert grid_text(state) == rep["payload"]["reduced_grid"]
+    assert state.colors == c.colors
     # the payload's move log is the only one; --log-out is gone
     assert main(["reduce", "--grid", str(src),
                  "--log-out", str(tmp_path / "log.json")]) == 2

@@ -24,7 +24,7 @@ def test_symmetric_witness_degree(L):
     rep = degree(c.tri, c)
     assert rep.degree_abs == EXPECTED_ABS[L]
     assert rep.degree % 12 == 6
-    assert trace.steps[-1].partial_degree == rep.degree
+    assert trace[-1].partial_degree == rep.degree
 
 
 @pytest.mark.parametrize("L,name", [(3, "t99_deg6"), (4, "t1212_deg6"),
@@ -66,9 +66,9 @@ LEDGERS = [
 @pytest.mark.parametrize("L,expected", LEDGERS)
 def test_partial_degree_ledger(L, expected):
     _, trace = construct_deg6_symmetric(L)
-    assert [e.partial_degree for e in trace.steps] == expected
+    assert [e.partial_degree for e in trace] == expected
     # the trace lists each counter-diagonal D1..D3L exactly once
-    listed = [j for e in trace.steps for j in e.diagonals]
+    listed = [j for e in trace for j in e.diagonals]
     assert sorted(listed) == list(range(1, 3 * L + 1))
 
 
@@ -78,7 +78,7 @@ def test_seed_and_sweep_steps_are_mirror_closed(L):
     # D1 is its own mirror, D(M+1) = D1
     M = 3 * L
     _, trace = construct_deg6_symmetric(L)
-    steps = {e.label: e.diagonals for e in trace.steps}
+    steps = {e.label: e.diagonals for e in trace}
     for label in ("step1", "step2"):
         listed = set(steps[label])
         assert listed == {(M + 1 - d) % M + 1 for d in listed}, label
@@ -104,7 +104,7 @@ WITNESS_DIGESTS = {
 @pytest.mark.parametrize("L", sorted(WITNESS_DIGESTS))
 def test_witness_golden_digest(L):
     c, trace = construct_deg6_symmetric(L)
-    steps = [(e.label, e.partial_degree) for e in trace.steps]
+    steps = [(e.label, e.partial_degree) for e in trace]
     digest = hashlib.sha256(repr((c.colors, steps)).encode()).hexdigest()
     assert digest == WITNESS_DIGESTS[L]
 

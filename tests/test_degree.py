@@ -90,7 +90,10 @@ def test_target_triangle_independence():
         tri = build(r, s, t)
         for _ in range(20):
             c = random_proper_coloring(tri, 4, rng)
-            signed = {degree(tri, c, target).degree for target in TARGETS}
+            signed = set()
+            for target in TARGETS:
+                p, n = face_degree_counts(tri, c.colors, target)
+                signed.add(p - n)
             assert len(signed) == 1  # consistent orientations: equal, not just |.|
 
 

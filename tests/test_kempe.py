@@ -8,7 +8,7 @@ from kempetorus.coloring import (Coloring, canonicalize, is_proper,
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import (KempeMove, kempe_change, kempe_components,
-                              wsk_step)
+                              swap, wsk_step)
 from kempetorus.lattice import build
 
 
@@ -20,9 +20,13 @@ def test_components_cover_two_color_vertices():
     tri = build(3, 3, 0)
     c = as4(three_coloring(tri))
     comps = kempe_components(tri, c, 1, 2)
-    covered = set().union(*comps)
-    expected = {v for v in range(tri.n) if c.colors[v] in (1, 2)}
-    assert covered == expected
+    assert all(isinstance(comp, int) for comp in comps)  # vertex masks
+    assert sum(comps) == sum(1 << v for v in range(tri.n)
+                             if c.colors[v] in (1, 2))
+    covered = 0
+    for comp in comps:
+        assert not covered & comp  # disjoint
+        covered |= comp
 
 
 def test_components_of_nonsingular_are_three_hexagons():
@@ -31,7 +35,7 @@ def test_components_of_nonsingular_are_three_hexagons():
     for (a, b) in ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3)):
         comps = kempe_components(tri, c, a, b)
         assert len(comps) == 3
-        assert all(len(comp) == 6 for comp in comps)
+        assert all(comp.bit_count() == 6 for comp in comps)
 
 
 def test_components_of_swap_fixture_mostly_connected():
@@ -45,7 +49,8 @@ def test_components_ordering_and_errors():
     tri = build(6, 6, 0)
     c = nonsingular_coloring(tri)
     comps = kempe_components(tri, c, 1, 2)
-    assert [min(comp) for comp in comps] == sorted(min(comp) for comp in comps)
+    least = [comp & -comp for comp in comps]
+    assert least == sorted(least)
     with pytest.raises(ValueError):
         kempe_components(tri, c, 2, 2)
 
@@ -54,7 +59,7 @@ def test_kempe_change_bottom_row_reaches_swap_fixture():
     tri = build(6, 6, 0)
     fx_ns = load_fixture("t66_ns")
     comps = kempe_components(tri, fx_ns, 1, 2)
-    bottom = next(comp for comp in comps if 0 in comp)
+    bottom = next(comp for comp in comps if comp & 1)
     moved = kempe_change(tri, fx_ns, KempeMove(1, 2, bottom))
     assert moved.colors == load_fixture("t66_swap_bottom").colors
 
@@ -87,7 +92,35 @@ def test_kempe_change_rejects_bogus_component():
     tri = build(6, 6, 0)
     c = nonsingular_coloring(tri)
     with pytest.raises(ValueError):
-        kempe_change(tri, c, KempeMove(1, 2, frozenset({0, 1})))
+        kempe_change(tri, c, KempeMove(1, 2, 0b11))
+
+
+def test_swap_flips_exactly_the_chosen_components():
+    tri = build(6, 6, 0)
+    c = nonsingular_coloring(tri)
+    comps = kempe_components(tri, c, 1, 4)
+    chosen = comps[::2]
+    flipped = sum(chosen)
+    out = swap(c, 1, 4, chosen)
+    for v in range(tri.n):
+        want = {1: 4, 4: 1}[c.colors[v]] if flipped >> v & 1 else c.colors[v]
+        assert out.colors[v] == want
+    assert swap(c, 1, 4, []).colors == c.colors
+
+
+@pytest.mark.parametrize("t", (1, 2, 3))
+def test_kempe_moves_reject_a_coloring_of_another_torus(t):
+    # same vertex count, other twist: the neighbours differ, so a move
+    # would act on the wrong components
+    c = as4(three_coloring(build(9, 9, 0)))
+    other = build(9, 9, t)
+    with pytest.raises(ValueError, match="coloring of T\\(9,9,0\\)"):
+        kempe_components(other, c, 1, 2)
+    with pytest.raises(ValueError, match="coloring of T\\(9,9,0\\)"):
+        wsk_step(other, c, random.Random(1))
+    move = KempeMove(1, 2, kempe_components(c.tri, c, 1, 2)[0])
+    with pytest.raises(ValueError, match="coloring of T\\(9,9,0\\)"):
+        kempe_change(other, c, move)
 
 
 def test_wsk_preserves_properness():

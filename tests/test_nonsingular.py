@@ -199,6 +199,18 @@ def test_reduce_requires_three_colorable():
         ns_minimal_reduce(tri, c)
 
 
+def test_edge_classification_rejects_a_coloring_of_another_torus():
+    # T(6,6,3) is 3-colorable with as many vertices as T(6,6,0): a usage
+    # error, not a broken structure law
+    fx = load_fixture("t66_ns")
+    other = build(6, 6, 3)
+    for call in (classify_edges, all_ns_cycles, check_ns_minimal_structure,
+                 lambda tri, c: ns_cycles(tri, c, 1, 2)):
+        with pytest.raises(ValueError,
+                           match="T\\(6,6,0\\) given for T\\(6,6,3\\)"):
+            call(other, fx)
+
+
 def test_structure_homotopy_pattern_on_reduced_nonsingular():
     tri = build(6, 6, 0)
     reduced, _ = ns_minimal_reduce(tri, nonsingular_coloring(tri))

@@ -53,7 +53,9 @@ def golden_cases():
 def reduction_digest(c: Coloring) -> str:
     reduced, log = ns_minimal_reduce(c.tri, c)
     report = check_ns_minimal_structure(c.tri, reduced)
-    moves = [(m.a, m.b, sorted(m.component)) for m in log]
+    vertices = range(c.tri.n)
+    moves = [(m.a, m.b, [v for v in vertices if m.component >> v & 1])
+             for m in log]
     return hashlib.sha256(
         repr((reduced.colors, moves, report)).encode()).hexdigest()
 

@@ -12,7 +12,8 @@ from kempetorus import statespace, verify
 from kempetorus.cli import main
 from kempetorus.coloring import (Coloring, canonicalize,
                                  random_proper_coloring, three_coloring)
-from kempetorus.kempe import KempeMove, kempe_change, kempe_components
+from kempetorus.kempe import (KempeMove, components, kempe_change,
+                              kempe_components)
 from kempetorus.lattice import NotSimpleError, build, parse_descriptor
 from kempetorus.statespace import (BudgetExceeded, PackedKempe,
                                    canonical_packed, enumerate_colorings,
@@ -20,7 +21,8 @@ from kempetorus.statespace import (BudgetExceeded, PackedKempe,
 
 from oracles import (brute_force_colorings, brute_force_count,
                      brute_force_kempe_classes, canonical_abs_census,
-                     degree_histogram, first_appearance)
+                     degree_histogram, first_appearance, torus_neighbors,
+                     two_color_components)
 
 
 def _small_tori(max_n=16):
@@ -210,24 +212,27 @@ def test_packed_engine_neighbors_match_generic_path():
             assert set(eng.neighbor_keys(key)) == ref, (r, s, t, q)
 
 
-def test_packed_components_match_kempe_components():
-    # the mask fill against kempe's flood fill, across every twisted wrap.
-    # Uniform random labellings need not be proper, so tori without a
-    # proper 4-coloring are covered too; a pair's region then holds about
-    # half the vertices, the triangular lattice's site percolation
-    # threshold, so its components come in many sizes
+def test_kempe_components_match_oracle_flood():
+    # the mask search, alone and behind kempe_components, against a set
+    # flood fill over neighbours rebuilt from (r, s, t), across every
+    # twisted wrap.  Uniform random labellings need not be proper, so tori
+    # without a proper 4-coloring are covered too; a pair's region then
+    # holds about half the vertices, the triangular lattice's site
+    # percolation threshold, so its components come in many sizes
     rng = random.Random(29)
     for tri in SMALL_TORI + [build(16, 16, 1), build(12, 6, 3),
                              build(27, 27, 0)]:
         eng = PackedKempe(tri, 4)
+        nbrs = torus_neighbors(tri.r, tri.s, tri.t)
         for _ in range(4):
             c = Coloring(tri, 4, bytes(rng.choices(range(1, 5), k=tri.n)))
             masks = eng.label_masks(c.colors)
             for a, b in itertools.combinations(range(4), 2):
-                want = [sum(1 << v for v in comp)
-                        for comp in kempe_components(tri, c, a + 1, b + 1)]
-                assert eng.components(masks[a] | masks[b]) == want, (
+                want = [sum(1 << v for v in comp) for comp in
+                        two_color_components(nbrs, c.colors, a + 1, b + 1)]
+                assert components(tri, masks[a] | masks[b]) == want, (
                     tri.descriptor(), c.colors, a, b)
+                assert kempe_components(tri, c, a + 1, b + 1) == want
 
 
 def test_packed_roundtrip_and_canonical():
