@@ -35,11 +35,15 @@ class Coloring:
     colors: bytes  # vertex-indexed, values 1..q
 
     def __post_init__(self):
+        if not isinstance(self.colors, bytes):
+            raise TypeError(f"colors must be bytes, not "
+                            f"{type(self.colors).__name__}")
         if len(self.colors) != self.tri.n:
             raise ValueError(
                 f"coloring has {len(self.colors)} entries for "
                 f"{self.tri.descriptor()} with {self.tri.n} vertices")
-        if self.colors and not all(1 <= c <= self.q for c in self.colors):
+        # deleting every allowed byte leaves nothing iff all colors are in range
+        if self.colors.translate(None, bytes(range(1, min(self.q, 255) + 1))):
             raise ValueError(f"colors must lie in 1..{self.q}")
 
     def __getitem__(self, v: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_proper
+from .coloring import Coloring, check_torus, is_proper
 from .lattice import Triangulation
 
 # Orientations of the four triangles of the tetrahedron boundary, chosen
@@ -109,7 +109,9 @@ def tutte_parity(tri: Triangulation, c: Coloring, a: int) -> int:
 
     Equals degree mod 2 for every color a; identically 0 on the
     6-regular tori, which is why all their 4-colorings have even degree.
+    `c` must be a coloring of `tri`.
     """
+    check_torus(tri, c)
     if not 1 <= a <= c.q:
         raise ValueError(f"color {a} out of range 1..{c.q}")
     total = sum(len(tri.neighbors[v]) for v in range(tri.n) if c.colors[v] == a)

@@ -59,6 +59,27 @@ def test_is_proper_counterexamples():
         is_proper(tri, Coloring(build(6, 3, 0), 4, bytes([1] * 18)))
 
 
+def test_coloring_colors_must_be_bytes():
+    tri = build(3, 3, 0)
+    colors = three_coloring(tri).colors
+    for bad in (list(colors), bytearray(colors), tuple(colors)):
+        with pytest.raises(TypeError, match="colors must be bytes"):
+            Coloring(tri, 4, bad)
+    assert Coloring(tri, 4, colors).colors == colors
+
+
+def test_coloring_colors_must_lie_in_range():
+    tri = build(3, 3, 0)
+    colors = three_coloring(tri).colors
+    Coloring(tri, 3, colors)
+    for q, bad in ((2, colors), (4, bytes([0]) + colors[1:]),
+                   (4, bytes([5]) + colors[1:]),
+                   (1000, bytes([0]) + colors[1:])):
+        with pytest.raises(ValueError, match=f"colors must lie in 1..{q}"):
+            Coloring(tri, q, bad)
+    assert Coloring(tri, 1000, bytes([255]) + colors[1:]).q == 1000
+
+
 def test_is_proper_rejects_a_coloring_of_another_torus():
     # T(6,6,3) has as many vertices as T(6,6,0), but the fixture is a
     # coloring of T(6,6,0) (degree +18), not of the twisted torus

@@ -137,6 +137,12 @@ def test_tutte_parity_empty_class():
         tutte_parity(tri, c, 5)
 
 
+def test_tutte_parity_rejects_a_coloring_of_another_torus():
+    small = as4(three_coloring(build(3, 3, 0)))
+    with pytest.raises(ValueError, match="T\\(3,3,0\\) given for T\\(6,6,0\\)"):
+        tutte_parity(build(6, 6, 0), small, 1)
+
+
 def test_partial_degree_skips_uncolored():
     tri = build(6, 6, 0)
     fx = load_fixture("t66_ns")

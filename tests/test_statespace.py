@@ -409,11 +409,18 @@ def _pinned_censuses():
 @pytest.mark.parametrize("torus,total,histogram", _pinned_censuses())
 def test_pinned_census_against_transfer_matrix(torus, total, histogram):
     # every published count the criteria pin, C4's big T(6,9) one
-    # included, via the independent transfer-matrix oracle
+    # included, via the independent transfer-matrix oracle; on small tori
+    # the pinned total and the DFS's count are also each 1/24 of the
+    # brute-force labeled count, as the pinned face counts each orbit of
+    # the 24 color permutations once
     tri = parse_descriptor(torus)
     census = canonical_abs_census(tri.r, tri.s, tri.t)
     assert census == histogram
     assert sum(census.values()) == total
+    if tri.n <= 18:
+        labeled = brute_force_count(tri, 4)
+        assert total * 24 == labeled
+        assert enumerate_colorings(tri, 4).total * 24 == labeled
 
 
 @pytest.mark.full
