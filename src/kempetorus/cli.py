@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .coloring import (BudgetExceeded, Coloring, grid_text, is_proper,
@@ -162,7 +163,7 @@ def cmd_wsk(args):
 def cmd_degree(args):
     c = load_grid(args.grid)
     rep = degree(c.tri, c)
-    _emit_report(args, "degree", c.tri, rep.to_dict())
+    _emit_report(args, "degree", c.tri, asdict(rep))
     return 0
 
 

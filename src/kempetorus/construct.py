@@ -8,10 +8,13 @@ fills Dd together with its mirror D(M+2-d) for d = 3, 4, ..., from 1/2 on
 odd d and 3/4 on even d (D1 is its own mirror).  A fill gives each vertex
 the one color of the diagonal's pair that keeps the coloring proper; the
 exception rule first forces a few listed vertices of a middle diagonal
-from the other pair.  The last middle diagonals of each case follow
-explicit x-range, parity or copy rules.  A forced vertex admitting zero
-or two colors means the construction guarantee is violated, which is a
-bug, not an input condition.
+from the other pair.  The range rule colors the other middle diagonals:
+it forces two listed vertex groups to opposite colors of a pair, then
+gives every other vertex the inside group's color on an x-range and the
+outside group's color elsewhere.  A few vertices follow copy, count or
+row-below rules.  A forced vertex admitting zero or two colors means the
+construction guarantee is violated, which is a bug, not an input
+condition.
 
 The builder verifies every assignment against its colored neighbours
 and asserts the running partial degree after each step against the
@@ -135,19 +138,20 @@ class _DiagonalBuilder:
             raise ConstructionError("constructed coloring is not proper")
         return c
 
-    def ranged_diagonal(self, j: int, pool, group1, group2, lo, hi) -> None:
-        """Two forced vertex groups taking opposite colors of `pool`, then
-        an explicit x-range rule: lo <= x <= hi gets group2's color, the
-        rest group1's."""
-        x0, y0 = group1[0]
-        c1 = self.forced(x0, y0, pool)
-        c2 = pool[0] if c1 == pool[1] else pool[1]
-        for x, y in group1[1:]:
-            self.put(x, y, c1, source=f"D{j} forced group")
-        for x, y in group2:
-            self.put(x, y, c2, source=f"D{j} forced group")
-        self.paint(j, lambda x, y: c2 if lo <= x <= hi else c1,
-                   f"D{j} range rule")
+    def ranged(self, j: int, pool, outside, inside, lo: int, hi: int,
+               skip=()) -> None:
+        """Force every vertex of the groups `outside` and `inside` from
+        pool, each group to one color and the two to opposite colors; then
+        give every other uncolored vertex of Dj not in skip inside's color
+        for lo <= x <= hi and outside's color elsewhere."""
+        cols = [{self.forced(x, y, pool) for x, y in group}
+                for group in (outside, inside)]
+        if any(len(c) != 1 for c in cols) or cols[0] == cols[1]:
+            raise ConstructionError(f"forced groups on D{j} do not take "
+                                    f"opposite colors of {tuple(pool)}")
+        (c_out,), (c_in,) = cols
+        self.paint(j, lambda x, y: c_in if lo <= x <= hi else c_out,
+                   f"D{j} range rule", skip)
 
 
 def _case_l_eq_2():
@@ -189,16 +193,8 @@ def _case_4k(k: int):
     b.fill(6 * k + 3, (1, 2))
     b.checkpoint("step3", expect=8 + 12 * (k - 1))
 
-    # D(6k): four forced 1/2 vertices, the rest by an explicit x-rule
-    ca = b.forced(1, 6 * k - 1, (1, 2))
-    ca2 = b.forced(12 * k, 6 * k, (1, 2))
-    cb = b.forced(6 * k + 1, 12 * k - 1, (1, 2))
-    cb2 = b.forced(6 * k, 12 * k, (1, 2))
-    if ca != ca2 or cb != cb2 or ca == cb:
-        raise ConstructionError("forced 1/2 vertices on the middle diagonal "
-                                "do not pair up as the ledger requires")
-    b.paint(6 * k, lambda x, y: ca if x < 6 * k else cb,
-            "middle diagonal rule")
+    b.ranged(6 * k, (1, 2), ((6 * k + 1, 12 * k - 1), (6 * k, 12 * k)),
+             ((1, 6 * k - 1), (12 * k, 6 * k)), 1, 6 * k - 1)
     # D(6k+1): unique 3/4 everywhere except two free vertices, fixed explicitly
     b.put(1, 6 * k, 4, source="free vertex")
     b.put(6 * k + 1, 12 * k, 3, source="free vertex")
@@ -227,34 +223,23 @@ def _case_4k_plus_1(k: int):
            first=((3 * k + 3, 3 * k + 2), (9 * k + 4, 9 * k + 4)))
     b.checkpoint("step3a", expect=8 + 12 * (k - 1))
 
-    c_range = 3 if k % 2 else 4
-    c_other = 7 - c_range
-
-    def parity_diagonal(j, pair1, pair2, lo, hi, skip=()):
-        p1 = b.forced(*pair1[0], (3, 4))
-        b.put(*pair1[1], p1, source=f"D{j} forced pair")
-        p2 = b.forced(*pair2[0], (3, 4))
-        b.put(*pair2[1], p2, source=f"D{j} forced pair")
-        if p1 == p2:
-            raise ConstructionError(f"forced pairs on D{j} took equal colors")
-        b.paint(j, lambda x, y: c_range if lo < x < hi else c_other,
-                f"D{j} parity rule", skip)
-
-    parity_diagonal(6 * k + 1,
-                    ((3 * k + 1, 3 * k), (3 * k, 3 * k + 1)),
-                    ((9 * k + 3, 9 * k + 1), (9 * k + 2, 9 * k + 2)),
-                    3 * k + 1, 9 * k + 2)
+    # the forced inside pair takes the paper's parity color: 3 for odd k,
+    # 4 for even k
+    b.ranged(6 * k + 1, (3, 4),
+             ((9 * k + 3, 9 * k + 1), (9 * k + 2, 9 * k + 2)),
+             ((3 * k + 1, 3 * k), (3 * k, 3 * k + 1)),
+             3 * k + 2, 9 * k + 1)
     target = b.count(6 * k + 1, 3)
-    # the last free vertex balances the 3-counts of the two parity diagonals
+    # the last free vertex balances the 3-counts of the two ranged diagonals
     balance = (3 * k + 1, 3 * k + 3)
-    parity_diagonal(6 * k + 4,
-                    ((3 * k + 3, 3 * k + 1), (3 * k + 2, 3 * k + 2)),
-                    ((9 * k + 4, 9 * k + 3), (9 * k + 3, 9 * k + 4)),
-                    3 * k + 3, 9 * k + 3, skip=(balance,))
+    b.ranged(6 * k + 4, (3, 4),
+             ((9 * k + 4, 9 * k + 3), (9 * k + 3, 9 * k + 4)),
+             ((3 * k + 3, 3 * k + 1), (3 * k + 2, 3 * k + 2)),
+             3 * k + 4, 9 * k + 2, skip=(balance,))
     have = b.count(6 * k + 4, 3)
     b.put(*balance, 3 if have < target else 4, source="count-matching vertex")
     if b.count(6 * k + 4, 3) != target:
-        raise ConstructionError("3-counts of the parity diagonals differ")
+        raise ConstructionError("3-counts of the ranged diagonals differ")
     b.checkpoint("step3", expect=4 + 12 * (k - 1))
 
     b.forced(3 * k, 3 * k + 2, (1, 2))
@@ -288,14 +273,14 @@ def _case_4k_minus_2(k: int):
     b.fill(6 * k + 2, (1, 2),
            first=((3 * k + 1, 3 * k + 1), (9 * k - 2, 9 * k - 2)))
     # prose puts the range end at 9k-4; the reference figure ends it at 9k-5
-    b.ranged_diagonal(6 * k - 5, (3, 4),
-                      ((3 * k - 2, 3 * k - 3), (3 * k - 3, 3 * k - 2)),
-                      ((9 * k - 5, 9 * k - 6), (9 * k - 6, 9 * k - 5)),
-                      3 * k - 1, 9 * k - 5)
-    b.ranged_diagonal(6 * k + 1, (3, 4),
-                      ((3 * k + 1, 3 * k), (3 * k, 3 * k + 1)),
-                      ((9 * k - 2, 9 * k - 3), (9 * k - 3, 9 * k - 2)),
-                      3 * k + 2, 9 * k - 4)
+    b.ranged(6 * k - 5, (3, 4),
+             ((3 * k - 2, 3 * k - 3), (3 * k - 3, 3 * k - 2)),
+             ((9 * k - 5, 9 * k - 6), (9 * k - 6, 9 * k - 5)),
+             3 * k - 1, 9 * k - 5)
+    b.ranged(6 * k + 1, (3, 4),
+             ((3 * k + 1, 3 * k), (3 * k, 3 * k + 1)),
+             ((9 * k - 2, 9 * k - 3), (9 * k - 3, 9 * k - 2)),
+             3 * k + 2, 9 * k - 4)
     b.checkpoint("step3", expect=4 + 12 * (k - 2))
 
     # D(6k-4): the color is read off the vertex directly below
@@ -308,19 +293,17 @@ def _case_4k_minus_2(k: int):
 
     b.paint(6 * k - 4, below_rule, "row-below rule")
 
-    # D(6k): one forced vertex fixes the out-of-range color, its partner
-    # (misprinted in the prose) is recovered as the opposite color
-    c2 = b.forced(9 * k - 2, 9 * k - 4, (1, 2))
-    c1 = 3 - c2
-    b.paint(6 * k, lambda x, y: c1 if 3 * k <= x <= 9 * k - 4 else c2,
-            "middle diagonal rule")
+    # D(6k): the in-range partner of (9k-2,9k-4) is misprinted in the
+    # prose; it is recovered as the transposed vertex (9k-4,9k-2)
+    b.ranged(6 * k, (1, 2), ((9 * k - 2, 9 * k - 4),),
+             ((9 * k - 4, 9 * k - 2),), 3 * k, 9 * k - 4)
 
     b.fill(6 * k - 3, (1, 2),
            first=((3 * k - 1, 3 * k - 2), (9 * k - 4, 9 * k - 5)))
-    b.ranged_diagonal(6 * k - 2, (3, 4),
-                      ((3 * k, 3 * k - 2), (3 * k - 1, 3 * k - 1)),
-                      ((9 * k - 3, 9 * k - 5), (9 * k - 4, 9 * k - 4)),
-                      3 * k + 1, 9 * k - 2)
+    b.ranged(6 * k - 2, (3, 4),
+             ((3 * k, 3 * k - 2), (3 * k - 1, 3 * k - 1)),
+             ((9 * k - 3, 9 * k - 5), (9 * k - 4, 9 * k - 4)),
+             3 * k + 1, 9 * k - 2)
 
     seven = ((3 * k + 1, 3 * k - 2), (3 * k, 3 * k - 1), (3 * k - 1, 3 * k),
              (9 * k - 1, 9 * k - 6), (9 * k - 2, 9 * k - 5),

@@ -39,17 +39,6 @@ class DegreeReport:
     mod6: int
     mod12: int
 
-    @classmethod
-    def from_counts(cls, p: int, n: int) -> "DegreeReport":
-        d = p - n
-        return cls(p, n, d, abs(d), d % 2, d % 4, d % 6, d % 12)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "degree": self.degree,
-                "degree_abs": self.degree_abs,
-                "mod2": self.mod2, "mod4": self.mod4,
-                "mod6": self.mod6, "mod12": self.mod12}
-
 
 def sign_table(base: int, target=(1, 2, 3)) -> list[int]:
     """Sign of a face colored (a,b,c) clockwise, at index (a*base + b)*base + c.
@@ -101,7 +90,8 @@ def degree(tri: Triangulation, c: Coloring) -> DegreeReport:
     if not is_proper(tri, c):
         raise ValueError("degree requires a proper coloring")
     p, n = face_degree_counts(tri, c.colors)
-    return DegreeReport.from_counts(p, n)
+    d = p - n
+    return DegreeReport(p, n, d, abs(d), d % 2, d % 4, d % 6, d % 12)
 
 
 def tutte_parity(tri: Triangulation, c: Coloring, a: int) -> int:

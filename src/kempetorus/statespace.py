@@ -29,6 +29,7 @@ import functools
 import itertools
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .coloring import BudgetExceeded, Coloring
@@ -244,7 +245,9 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     min(2r, n // 2) into `threads` interleaved stripes, each searched by
     one task of a process pool of at most `os.cpu_count()` workers.
     Results, node count included, are independent of `threads`, and so
-    is whether `budget_nodes` is exceeded.
+    is whether `budget_nodes` is exceeded.  A torus of more than
+    `sys.getrecursionlimit()` - 100 vertices raises ValueError, as the
+    DFS recurses once per vertex.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -252,6 +255,11 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
         raise ValueError("threads must be at least 1")
     if budget_nodes is not None and budget_nodes < 0:
         raise ValueError("budget_nodes must be at least 0")
+    # _dfs recurses once per vertex and leaves 100 frames to its callers
+    depth = sys.getrecursionlimit() - 100
+    if tri.n > depth:
+        raise ValueError(f"{tri.descriptor()} has {tri.n} vertices, more "
+                         f"than the {depth} the recursive DFS can reach")
     task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
                              threads)
     if threads > 1:

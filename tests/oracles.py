@@ -264,7 +264,14 @@ def transfer_matrix_census(r, s, t, q=4):
 
 
 def canonical_abs_census(r, s, t):
-    """|degree| -> number of canonical colorings (labeled / 4!)."""
+    """|degree| -> number of canonical colorings (labeled / 4!).
+
+    T(r,s,0) with r > s runs as T(s,r,0): transposing the grid maps the
+    torus onto itself and only flips the sign of every degree, and the
+    tables grow with the width.
+    """
+    if t == 0 and r > s:
+        r, s = s, r
     hist = transfer_matrix_census(r, s, t, 4)
     out = {}
     for d, cnt in hist.items():

@@ -335,6 +335,18 @@ def test_budget_exit_code_threaded():
             f"error: nodes budget exceeded (limit {budget})"]
 
 
+def test_torus_beyond_the_recursion_limit_exits_2(capsys):
+    # the outcome does not depend on the thread count
+    for cmd in ("enumerate", "classes"):
+        for threads in ("1", "2"):
+            code = main([cmd, "--tri", "T(40,40,0)", "--budget-nodes", "5000",
+                         "--threads", threads])
+            assert code == 2, (cmd, threads)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "recursive DFS" in out.err
+
+
 def test_wsk_without_a_coloring_exits_2():
     # T(7,1,2) is K7, so `--start auto` picks a random start that cannot exist
     src = os.path.dirname(os.path.dirname(kempetorus.__file__))

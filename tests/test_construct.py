@@ -98,6 +98,14 @@ WITNESS_DIGESTS = {
     10: "feb847c64c6c29a21bac0f7a3a85579afa0885845edb10bafafe13e2908393a4",
     11: "91b4adb3824d7ae13ee9e557c8db928411a1b6852d043ba11437143990ccd0aa",
     12: "67e314556f41117c5e0cc2c26efb82f4229aaca2719c51884f3145650153c2c6",
+    13: "8d54ac4e49731ca20587c83e086b653400fbb9b3a0f4880e064bc495b97968d1",
+    14: "9004a43052586a759e96940f52227e3e4fadc9630e46ed76b58d42d730809bdd",
+    15: "2be6e81106b0d5d50c817dcdec70a144f86bdf6b8772454924e874c15e4366b3",
+    16: "2860685a3a67735d06bd3d702f65cce9ea236dcb7740df5df8044d13bf14877d",
+    17: "2c1eb853df89366f655bbf1d0a5dc7a9dde40baf14eb71bf6ef977e20049eb4b",
+    18: "543c1305a964e9490b6b1900c9c0d395355fbcef3773ff539194bb610c42c15c",
+    19: "882dab650464c6e97ee112af434dfd439ef5311896ada7ddcef7fdae2081dc54",
+    20: "2acc3172cc0bd3f0faeaba5729a09baf7d3bea9bd37283fa69f85665c495e07a",
 }
 
 

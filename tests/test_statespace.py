@@ -94,6 +94,17 @@ def test_enumeration_budget():
         enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000)
 
 
+def test_enumeration_rejects_tori_beyond_the_recursion_limit():
+    # the DFS recurses once per vertex, so T(40,40,0) is refused before
+    # any work at every thread count; T(30,30,0) still runs to its budget
+    for threads in (1, 2):
+        for run in (enumerate_colorings, kempe_classes):
+            with pytest.raises(ValueError, match="recursive DFS"):
+                run(build(40, 40, 0), 4, budget_nodes=5000, threads=threads)
+    with pytest.raises(BudgetExceeded):
+        enumerate_colorings(build(30, 30, 0), 4, budget_nodes=5000)
+
+
 def test_budget_exceeded_pickles():
     # a pool worker's budget error reaches the parent pickled
     exc = pickle.loads(pickle.dumps(BudgetExceeded("nodes", 5)))
