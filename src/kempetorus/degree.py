@@ -58,24 +58,38 @@ def sign_table(base: int, target=(1, 2, 3)) -> list[int]:
     return table
 
 
+def _sign_bytes(target) -> bytes:
+    """`sign_table(5, target)` as a 256-byte translation: +1 -> 1, -1 -> 2."""
+    return bytes(sign % 3 for sign in sign_table(5, target)).ljust(256, b"\0")
+
+
 # colors 0..4, where 0 is an uncolored vertex
-_FACE_SIGNS = {tset: sign_table(5, tset) for tset in TARGET_ORIENTATIONS}
+_SIGN_BYTES = {tset: _sign_bytes(tset) for tset in TARGET_ORIENTATIONS}
 
 
 def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
                        ) -> tuple[int, int]:
     """(p, n) over all faces.
 
-    Accepts raw color sequences of colors 0..4; a face containing a 0
-    (uncolored vertex) counts for neither, as partial degrees need.
+    Accepts raw color sequences of colors 0..4, one per vertex of `tri`;
+    a face containing a 0 (uncolored vertex) counts for neither, as
+    partial degrees need.
     """
     # only a bad target misses the cache, and sign_table rejects it
-    sign = _FACE_SIGNS.get(frozenset(target)) or sign_table(5, target)
+    signs = _SIGN_BYTES.get(frozenset(target)) or _sign_bytes(target)
+    if len(colors) != tri.n:
+        raise ValueError(f"{len(colors)} colors given for the {tri.n} "
+                         f"vertices of {tri.descriptor()}")
     if min(colors) < 0 or max(colors) > 4:
         raise ValueError("face colors must lie in 0..4 (0 = uncolored)")
-    signs = [sign[(colors[a] * 5 + colors[b]) * 5 + colors[c]]
-             for a, b, c in tri.faces]
-    return signs.count(1), signs.count(-1)
+    # colors are below 5, so each face's (a*5 + b)*5 + c fits in its own
+    # byte and the whole sum carries nothing between faces
+    m = len(tri.faces)
+    corners = bytearray(tri.corner_gather(colors))
+    a, b, c = (int.from_bytes(corners[k * m:(k + 1) * m], "little")
+               for k in range(3))
+    codes = ((a * 5 + b) * 5 + c).to_bytes(m, "little").translate(signs)
+    return codes.count(1), codes.count(2)
 
 
 def partial_degree(tri: Triangulation, colors) -> int:

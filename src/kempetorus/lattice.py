@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import itemgetter
 
 # direction order: E, W, N, S, NE, SW
 DISPLACEMENTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
@@ -35,7 +36,9 @@ class Triangulation:
         "r", "s", "t", "n",
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
         "neighbor_masks",   # vertex bit 1 << v -> mask of its six neighbours
+        "forward_gather",   # colors -> E, then N, then NE neighbour of every vertex
         "faces",            # list of vertex triples, clockwise boundary order
+        "corner_gather",    # colors -> 1st, then 2nd, then 3rd corner of every face
         "edges",            # list of (u, v, apex1, apex2) with u < v
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
     )
@@ -59,6 +62,9 @@ class Triangulation:
         self.neighbors = nbrs
         self.neighbor_masks = {1 << v: sum(1 << w for w in row)
                                for v, row in enumerate(nbrs)}
+        # E, N and NE meet every edge once; n >= 7, so a gather is a tuple
+        self.forward_gather = itemgetter(
+            *(row[d] for d in (0, 2, 4) for row in nbrs))
 
         faces = []
         for v in range(self.n):
@@ -69,6 +75,7 @@ class Triangulation:
             faces.append((v, ne, e))   # up, clockwise
             faces.append((v, no, ne))  # down, clockwise
         self.faces = faces
+        self.corner_gather = itemgetter(*(f[k] for k in range(3) for f in faces))
 
         by_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for fid, (a, b, c) in enumerate(faces):

@@ -199,20 +199,36 @@ def _row_states(r, q):
     return states
 
 
-def _strip_delta(s1, s2, r, shift):
-    """(allowed, degree contribution) for consecutive rows s1 below s2,
-    s2 cyclically shifted by the twist."""
-    d = 0
-    for x in range(r):
-        a, b = s1[x], s1[(x + 1) % r]
-        nv = s2[(x + shift) % r]
-        nu = s2[(x + 1 + shift) % r]
-        if a == nv or a == nu or b == nu:
-            return False, 0
-        for tri_cols in ((a, nu, b), (a, nv, nu)):  # up, down; clockwise
-            if set(tri_cols) == {1, 2, 3}:
-                d += 1 if tri_cols in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-    return True, d
+def _triangle_signs(base):
+    """+1 / -1 for the clockwise color triples that are rotations of
+    (1,2,3) / (1,3,2), 0 for every other triple, at (a*base + b)*base + c."""
+    signs = np.zeros(base ** 3, dtype=np.int8)
+    for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        signs[(x * base + y) * base + z] = 1
+        signs[(x * base + z) * base + y] = -1
+    return signs
+
+
+def _strip_tables(states, q, shift):
+    """(allowed, degree contribution) for every pair of consecutive rows,
+    state i below state j, row j cyclically shifted by the twist.
+
+    Broadcast over (i, j, x): below x sit a = s_i[x] and b = s_i[x+1],
+    above it nv = s_j[x+shift] and nu = s_j[x+1+shift]; the strip holds
+    the up face (a, nu, b) and the down face (a, nv, nu), both clockwise.
+    """
+    base = q + 1
+    rows = np.array(states, dtype=np.int32)
+    a = rows[:, None, :]
+    b = np.roll(rows, -1, axis=1)[:, None, :]
+    nv = np.roll(rows, -shift, axis=1)[None, :, :]
+    nu = np.roll(rows, -shift - 1, axis=1)[None, :, :]
+    allowed = ~((a == nv) | (a == nu) | (b == nu)).any(axis=2)
+    signs = _triangle_signs(base)
+    up = signs[(a * base + nu) * base + b]
+    down = signs[(a * base + nv) * base + nu]
+    d = (up + down).sum(axis=2, dtype=np.int8)
+    return allowed.astype(np.int8), np.where(allowed, d, 0).astype(np.int8)
 
 
 def transfer_matrix_census(r, s, t, q=4):
@@ -224,34 +240,25 @@ def transfer_matrix_census(r, s, t, q=4):
     """
     states = _row_states(r, q)
     ns = len(states)
-    a0 = np.zeros((ns, ns), dtype=np.int8)
-    d0 = np.zeros((ns, ns), dtype=np.int8)
-    at = np.zeros((ns, ns), dtype=np.int8)
-    dt = np.zeros((ns, ns), dtype=np.int8)
-    for i, s1 in enumerate(states):
-        for j, s2 in enumerate(states):
-            ok, d = _strip_delta(s1, s2, r, 0)
-            if ok:
-                a0[i, j] = 1
-                d0[i, j] = d
-            ok, d = _strip_delta(s1, s2, r, t)
-            if ok:
-                at[i, j] = 1
-                dt[i, j] = d
+    a0, d0 = _strip_tables(states, q, 0)
+    at, dt = _strip_tables(states, q, t)
     maxdeg = r * s // 2
     m = 1
     while m < 2 * maxdeg + 2:
         m *= 2
     samples = np.zeros(m, dtype=complex)
-    for k in range(m):
+    # the counts are real, so the sample at z^-1 is the conjugate of the
+    # sample at z: only the upper half-circle is evaluated
+    for k in range(m // 2 + 1):
         z = np.exp(2j * np.pi * k / m)
         m0 = a0 * z ** d0
         mt = at * z ** dt
-        prod = m0 if s > 1 else np.eye(ns, dtype=complex)
+        power = m0 if s > 1 else np.eye(ns, dtype=complex)
         for _ in range(s - 2):
-            prod = prod @ m0
-        prod = prod @ mt if s > 1 else mt
-        samples[k] = np.trace(prod)
+            power = power @ m0
+        # trace(power @ mt), without forming the last product
+        samples[k] = (power * mt.T).sum()
+        samples[-k] = samples[k].conjugate()
     coef = np.fft.fft(samples) / m
     hist = {}
     for d in range(m):

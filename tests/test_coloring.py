@@ -15,7 +15,8 @@ from kempetorus.fixtures import NAMES, load_fixture
 from kempetorus.lattice import build
 from kempetorus.nonsingular import ns_minimal_reduce
 
-from oracles import brute_force_colorings
+from oracles import brute_force_colorings, torus_neighbors
+from tori import LARGE_TORI, SMALL_TORI
 
 
 def test_three_coloring_values_and_properness():
@@ -92,6 +93,52 @@ def test_is_proper_rejects_a_coloring_of_another_torus():
         degree(twisted, fx)
     with pytest.raises(ValueError):
         ns_minimal_reduce(twisted, fx)
+
+
+def _monochromatic_edges(nbrs, colors):
+    return sum(colors[v] == colors[w] for v, row in enumerate(nbrs)
+               for w in row) // 2
+
+
+def _greedy_proper(nbrs, rng):
+    """A proper coloring in 1..7: six neighbours leave one color free."""
+    colors = [0] * len(nbrs)
+    order = list(range(len(nbrs)))
+    rng.shuffle(order)
+    for v in order:
+        used = {colors[w] for w in nbrs[v]}
+        colors[v] = rng.choice([c for c in range(1, 8) if c not in used])
+    return colors
+
+
+def test_is_proper_matches_oracle_neighbours():
+    # against neighbour lists rebuilt from (r, s, t), at colors up to 255
+    rng = random.Random(37)
+    for tri in SMALL_TORI + LARGE_TORI:
+        nbrs = torus_neighbors(tri.r, tri.s, tri.t)
+        for q in (4, 255):
+            for _ in range(5):
+                c = Coloring(tri, q, bytes(rng.choices(range(1, q + 1),
+                                                       k=tri.n)))
+                assert is_proper(tri, c) == (
+                    _monochromatic_edges(nbrs, c.colors) == 0), tri
+        base = _greedy_proper(nbrs, rng)
+        assert _monochromatic_edges(nbrs, base) == 0
+        assert is_proper(tri, Coloring(tri, 7, bytes(base)))
+        # one monochromatic edge in each direction E, N and NE, its two
+        # ends in a color above 7 that no other vertex has; the top row
+        # and the last column take the twisted and the plain wrap
+        top = range(tri.n - tri.r, tri.n)
+        last = range(tri.r - 1, tri.n, tri.r)
+        ends = (range(tri.n) if tri.n <= 16 else
+                [*top, *last, *rng.sample(range(tri.n), 5)])
+        for v in ends:
+            for d in (0, 2, 4):
+                colors = list(base)
+                colors[v] = colors[nbrs[v][d]] = rng.randrange(8, 256)
+                assert _monochromatic_edges(nbrs, colors) == 1
+                assert not is_proper(tri, Coloring(tri, 255, bytes(colors))), (
+                    tri, v, d)
 
 
 def test_canonicalize_first_appearance():

@@ -4,13 +4,17 @@ import pytest
 
 from kempetorus.coloring import (Coloring, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
-from kempetorus.degree import degree, face_degree_counts, tutte_parity
+from kempetorus.degree import (degree, face_degree_counts, partial_degree,
+                               tutte_parity)
 from kempetorus.fixtures import load_fixture
 from kempetorus.lattice import build
 
 from oracles import naive_degree
+from tori import LARGE_TORI, SMALL_TORI
 
 TARGETS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+# each target's positive orientation, consistent with (1, 2, 3)
+ORIENTED = ((1, 2, 3), (1, 4, 2), (1, 3, 4), (2, 4, 3))
 
 
 def as4(c):
@@ -82,6 +86,33 @@ def test_degree_matches_naive_oracle():
     bad[0] = 5
     with pytest.raises(ValueError):
         face_degree_counts(tri, bad)
+
+
+def test_face_degree_counts_match_naive_oracle_on_any_labelling():
+    # uniform labellings in 0..4 hold uncolored vertices and improper
+    # faces, so the count depends on the target; both p - n and p + n
+    # are pinned for each oriented target
+    rng = random.Random(41)
+    for tri in SMALL_TORI + LARGE_TORI:
+        for _ in range(3):
+            colors = bytes(rng.choices(range(5), k=tri.n))
+            for target in ORIENTED:
+                p, n = face_degree_counts(tri, colors, target)
+                assert p - n == naive_degree(tri, colors, target), (
+                    tri, colors, target)
+                assert p + n == sum({colors[v] for v in f} == set(target)
+                                    for f in tri.faces)
+
+
+def test_partial_degree_rejects_a_color_sequence_of_the_wrong_length():
+    tri = build(3, 3, 0)
+    for colors in ([1, 2, 3] * 3 + [4, 4, 4], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"{len(colors)} colors given "
+                                             "for the 9 vertices"):
+            partial_degree(tri, colors)
+        with pytest.raises(ValueError, match="for the 9 vertices"):
+            face_degree_counts(tri, bytes(colors))
+    assert partial_degree(tri, [1, 2, 3] * 3) == 0
 
 
 def test_target_triangle_independence():

@@ -14,7 +14,7 @@ from kempetorus.coloring import (Coloring, canonicalize,
                                  random_proper_coloring, three_coloring)
 from kempetorus.kempe import (KempeMove, components, kempe_change,
                               kempe_components)
-from kempetorus.lattice import NotSimpleError, build, parse_descriptor
+from kempetorus.lattice import build, parse_descriptor
 from kempetorus.statespace import (BudgetExceeded, PackedKempe,
                                    canonical_packed, enumerate_colorings,
                                    kempe_classes)
@@ -23,22 +23,7 @@ from oracles import (brute_force_colorings, brute_force_count,
                      brute_force_kempe_classes, canonical_abs_census,
                      degree_histogram, first_appearance, torus_neighbors,
                      two_color_components)
-
-
-def _small_tori(max_n=16):
-    """Every torus `build` accepts with at most `max_n` vertices."""
-    out = []
-    for r in range(1, max_n + 1):
-        for s in range(1, max_n // r + 1):
-            for t in range(r):
-                try:
-                    out.append(build(r, s, t))
-                except NotSimpleError:
-                    pass
-    return out
-
-
-SMALL_TORI = _small_tori()
+from tori import LARGE_TORI, SMALL_TORI
 
 
 def test_enumeration_matches_brute_force_t33():
@@ -231,8 +216,7 @@ def test_kempe_components_match_oracle_flood():
     # holds about half the vertices, the triangular lattice's site
     # percolation threshold, so its components come in many sizes
     rng = random.Random(29)
-    for tri in SMALL_TORI + [build(16, 16, 1), build(12, 6, 3),
-                             build(27, 27, 0)]:
+    for tri in SMALL_TORI + LARGE_TORI:
         eng = PackedKempe(tri, 4)
         nbrs = torus_neighbors(tri.r, tri.s, tri.t)
         for _ in range(4):
