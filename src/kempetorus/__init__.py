@@ -22,7 +22,7 @@ from .construct import (build_strip, construct_deg6, construct_deg6_symmetric,
                         extend_periodic, glue_strip, strip_rows)
 from .nonsingular import (NsCycle, algcr, all_ns_cycles,
                           check_ns_minimal_structure, classify_edges,
-                          ns_cycles, ns_minimal_reduce)
+                          ns_minimal_reduce)
 from .fixtures import load_fixture
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ payload is reproducible bit-exactly from the same parameters and seed;
 wall time, per-phase timings and node counters live outside the
 payload.  `wsk` emits CSV instead.  Exit codes: 0 ok, 1 invariant
 violation, 2 usage error (bad counts and unreadable or unwritable files
-included), 3 budget exceeded.
+included), 3 budget exceeded (running out of memory included).
 """
 
 from __future__ import annotations
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

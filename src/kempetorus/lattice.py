@@ -13,6 +13,10 @@ global orientation:
 
     up   triangle at (x, y): (x,y) -> (x+1,y+1) -> (x+1,y)
     down triangle at (x, y): (x,y) -> (x,y+1)   -> (x+1,y+1)
+
+Face 2v is vertex v's up triangle and face 2v+1 its down triangle.  Edge
+d*n + v joins v to its east (d = 0), north (d = 1) or north-east (d = 2)
+neighbour, the order in which `forward_gather` reads them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ class Triangulation:
         "forward_gather",   # colors -> E, then N, then NE neighbour of every vertex
         "faces",            # list of vertex triples, clockwise boundary order
         "corner_gather",    # colors -> 1st, then 2nd, then 3rd corner of every face
-        "edges",            # list of (u, v, apex1, apex2) with u < v
+        "edges",            # edge d*n + v: v to its E, N, NE neighbour, as
+                            # (u, w, apex1, apex2) with u < w
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
     )
 
@@ -65,37 +70,24 @@ class Triangulation:
         # E, N and NE meet every edge once; n >= 7, so a gather is a tuple
         self.forward_gather = itemgetter(
             *(row[d] for d in (0, 2, 4) for row in nbrs))
-
-        faces = []
-        for v in range(self.n):
-            x, y = v % r + 1, v // r + 1
-            e = self._wrap(x + 1, y)
-            ne = self._wrap(x + 1, y + 1)
-            no = self._wrap(x, y + 1)
-            faces.append((v, ne, e))   # up, clockwise
-            faces.append((v, no, ne))  # down, clockwise
-        self.faces = faces
-        self.corner_gather = itemgetter(*(f[k] for k in range(3) for f in faces))
-
-        by_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for fid, (a, b, c) in enumerate(faces):
-            for u, w, apex in ((a, b, c), (b, c, a), (c, a, b)):
-                key = (u, w) if u < w else (w, u)
-                by_edge.setdefault(key, []).append((fid, apex))
-        edges = []
-        face_adj = [[] for _ in faces]
-        for key in sorted(by_edge):
-            inc = by_edge[key]
-            if len(inc) != 2:
-                raise NotSimpleError(
-                    f"edge {key} lies in {len(inc)} faces in T({r},{s},{t})")
-            (f1, apex1), (f2, apex2) = inc
-            eid = len(edges)
-            edges.append((key[0], key[1], apex1, apex2))
-            face_adj[f1].append((f2, eid))
-            face_adj[f2].append((f1, eid))
-        self.edges = edges
-        self.face_adjacency = [tuple(x) for x in face_adj]
+        self.faces = [f for v, (e, _, no, _, ne, _) in enumerate(nbrs)
+                      for f in ((v, ne, e), (v, no, ne))]
+        self.corner_gather = itemgetter(
+            *(f[k] for k in range(3) for f in self.faces))
+        # an E, N or NE edge of v is flanked by apexes (NE, S), (NE, W)
+        # or (E, N), the third corners of its two faces
+        self.edges = [(min(v, row[d]), max(v, row[d]), row[a1], row[a2])
+                      for d, a1, a2 in ((0, 4, 3), (2, 4, 1), (4, 0, 2))
+                      for v, row in enumerate(nbrs)]
+        # up face 2v meets 2v + 1 across v's NE edge, S's down face across
+        # v's E edge and E's down face across E's N edge; down face 2v + 1
+        # meets W's up face across v's N edge and N's across N's E edge
+        n = self.n
+        self.face_adjacency = [
+            adj for v, (e, w, no, so, _, _) in enumerate(nbrs)
+            for adj in (((2 * v + 1, 2 * n + v), (2 * so + 1, v),
+                         (2 * e + 1, n + e)),
+                        ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
 
     def _wrap(self, x: int, y: int) -> int:
         # a vertical wrap shifts x by +-t; only +-1 row steps occur here

@@ -46,29 +46,16 @@ class NsCycle:
         return self.homotopy == (0, 0)
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
-    singular: tuple[int, ...]
-    nonsingular: dict  # (i, j) with i < j -> tuple of edge ids
-
-    def all_nonsingular(self) -> list[int]:
-        return [e for es in self.nonsingular.values() for e in es]
-
-
-def classify_edges(tri: Triangulation, c: Coloring) -> EdgeClassification:
-    """Label every edge singular / non-singular; bucket the latter by pair."""
+def classify_edges(tri: Triangulation, c: Coloring) -> dict:
+    """Bucket the non-singular edges by color pair: {(i, j): ascending ids}."""
     check_torus(tri, c)
-    singular = []
     buckets: dict[tuple[int, int], list[int]] = {p: [] for p in PAIRS}
     col = c.colors
     for eid, (u, v, z, w) in enumerate(tri.edges):
-        if col[z] == col[w]:
-            singular.append(eid)
-        else:
+        if col[z] != col[w]:
             a, b = col[u], col[v]
             buckets[(a, b) if a < b else (b, a)].append(eid)
-    return EdgeClassification(tuple(singular),
-                              {p: tuple(es) for p, es in buckets.items()})
+    return buckets
 
 
 def _sign_canonical(a: int, b: int) -> tuple[int, int]:
@@ -126,17 +113,9 @@ def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
     return cycles
 
 
-def ns_cycles(tri: Triangulation, c: Coloring, i: int, j: int) -> list[NsCycle]:
-    """Decompose N_ij into vertex-disjoint cycles with homotopy types."""
-    if i == j:
-        raise ValueError("colors must be distinct")
-    pair = (i, j) if i < j else (j, i)
-    return _cycles(tri, pair, classify_edges(tri, c).nonsingular.get(pair, ()))
-
-
 def all_ns_cycles(tri: Triangulation, c: Coloring) -> dict:
-    cls = classify_edges(tri, c)
-    return {p: _cycles(tri, p, cls.nonsingular[p]) for p in PAIRS}
+    """Decompose every N_ij into vertex-disjoint cycles with homotopy types."""
+    return {p: _cycles(tri, p, es) for p, es in classify_edges(tri, c).items()}
 
 
 def algcr(h1, h2) -> int:
@@ -230,8 +209,8 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
     log: list[KempeMove] = []
     prev_ns = None
     for _ in range(len(tri.edges) + 1):
-        cls = classify_edges(tri, c)
-        current = set(cls.all_nonsingular())
+        buckets = classify_edges(tri, c)
+        current = {e for es in buckets.values() for e in es}
         if prev_ns is not None:
             if not current < prev_ns:
                 raise AssertionError(
@@ -239,7 +218,7 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         prev_ns = current
         surgery = None
         for pair in PAIRS:
-            cycles = _cycles(tri, pair, cls.nonsingular[pair])
+            cycles = _cycles(tri, pair, buckets[pair])
             contractible = [cy for cy in cycles if cy.contractible]
             if contractible:
                 surgery = contractible[:1]

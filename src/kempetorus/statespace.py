@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .coloring import BudgetExceeded, Coloring
 from .degree import sign_table
 from .kempe import color_digits, components
-from .lattice import Triangulation
+from .lattice import Triangulation, build
 
 
 @dataclass
@@ -198,14 +198,16 @@ class PackedKempe:
         return out
 
 
-def _enum_task(tri, q, budget, collect, stripes, stripe):
-    """Enumerate one of `stripes` interleaved parts of the search tree.
+def _enum_task(rst, q, budget, collect, stripes, stripe):
+    """Enumerate one of `stripes` interleaved parts of the search tree of
+    T(r,s,t), `rst` = (r, s, t), built here so a task pickles small.
 
     With more than one stripe, the tree is cut at depth min(2r, n // 2)
     and this part searches below every stripes-th prefix of the cut, from
     the stripe-th on; only stripe 0 counts the cut's own nodes.
     Returns (total, |degree| histogram, nodes, state degrees).
     """
+    tri = build(*rst)
     n = tri.n
     engine = PackedKempe(tri, q) if collect else None
     total = 0
@@ -260,8 +262,8 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     if tri.n > depth:
         raise ValueError(f"{tri.descriptor()} has {tri.n} vertices, more "
                          f"than the {depth} the recursive DFS can reach")
-    task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
-                             threads)
+    task = functools.partial(_enum_task, (tri.r, tri.s, tri.t), q,
+                             budget_nodes, collect, threads)
     if threads > 1:
         # map re-raises a worker's error only once every part has
         # returned, so the pool is never torn down under a running worker

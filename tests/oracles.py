@@ -4,8 +4,9 @@ Nothing here shares code paths with the library's enumeration, degree,
 or class machinery: colorings are enumerated by plain backtracking over
 the adjacency lists, Kempe components come from a set-based flood fill
 (over neighbour lists rebuilt from the torus coordinates when the
-lattice itself is under test), and the degree census comes from a
-row-transfer matrix evaluated at roots of unity.
+lattice itself is under test), edges and face adjacency are read off the
+face triples alone, and the degree census comes from a row-transfer
+matrix evaluated at roots of unity.
 """
 
 import itertools
@@ -55,6 +56,16 @@ def brute_force_count(tri, q):
     return count
 
 
+def face_incidence(faces):
+    """{(u, w) with u < w: [(face id, apex), (face id, apex)]} for every
+    edge of the face boundaries, read from the vertex triples alone."""
+    incidence = {}
+    for fid, (a, b, c) in enumerate(faces):
+        for u, w, apex in ((a, b, c), (b, c, a), (c, a, b)):
+            incidence.setdefault((min(u, w), max(u, w)), []).append((fid, apex))
+    return incidence
+
+
 def has_three_coloring(tri):
     """3-colorability by forced propagation across the dual graph.
 
@@ -63,6 +74,10 @@ def has_three_coloring(tri):
     by its restriction to one face; pinning that face to (1,2,3) loses no
     generality modulo color permutations.  Decides in O(faces).
     """
+    adjacent = [[] for _ in tri.faces]
+    for (f, _), (g, _) in face_incidence(tri.faces).values():
+        adjacent[f].append(g)
+        adjacent[g].append(f)
     colors = [0] * tri.n
     f0 = tri.faces[0]
     for v, col in zip(f0, (1, 2, 3)):
@@ -72,7 +87,7 @@ def has_three_coloring(tri):
     stack = [0]
     while stack:
         f = stack.pop()
-        for g, _eid in tri.face_adjacency[f]:
+        for g in adjacent[f]:
             if seen[g]:
                 continue
             a, b, c = tri.faces[g]

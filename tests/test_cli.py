@@ -347,6 +347,21 @@ def test_torus_beyond_the_recursion_limit_exits_2(capsys):
             assert "recursive DFS" in out.err
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # building T(r,s,t) takes memory quadratic in r*s: T(400,400,0) runs
+    # out under a 2 GB address-space limit
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_descriptor", exhausted)
+    for cmd in ("build", "enumerate", "classes"):
+        code = main([cmd, "--tri", "T(400,400,0)"])
+        assert code == 3, cmd
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: out of memory"]
+
+
 def test_wsk_without_a_coloring_exits_2():
     # T(7,1,2) is K7, so `--start auto` picks a random start that cannot exist
     src = os.path.dirname(os.path.dirname(kempetorus.__file__))

@@ -5,7 +5,8 @@ import pytest
 from kempetorus.lattice import (NotSimpleError, build, is_three_colorable,
                                 parse_descriptor)
 
-from oracles import has_three_coloring
+from oracles import face_incidence, has_three_coloring
+from tori import LARGE_TORI, SMALL_TORI
 
 
 def test_counts_t622():
@@ -55,6 +56,32 @@ def test_edges_in_exactly_two_faces_with_opposite_orientation():
     assert len(directed) == 2 * len(tri.edges)
     for (u, w) in directed:
         assert (w, u) in directed
+
+
+def test_edge_table_matches_face_incidence():
+    # edge e leaves vertex e % n towards its E, N or NE neighbour (e // n =
+    # 0, 1, 2), as the forward gather reads them; endpoints, apexes and face
+    # adjacency agree with the edges read off the faces alone
+    for tri in SMALL_TORI + LARGE_TORI:
+        n = tri.n
+        incidence = face_incidence(tri.faces)
+        forward = tri.forward_gather(range(n))
+        ids = {}
+        for e, (u, w, z, y) in enumerate(tri.edges):
+            v = e % n
+            far = tri.neighbors[v][(0, 2, 4)[e // n]]
+            assert forward[e] == far and (u, w) == (min(v, far), max(v, far)), \
+                (tri, e)
+            assert sorted((z, y)) == sorted(a for _, a in incidence[(u, w)]), \
+                (tri, e)
+            ids[(u, w)] = e
+        assert len(ids) == len(incidence) == 3 * n, tri
+        expected = [[] for _ in tri.faces]
+        for key, ((f, _), (g, _)) in incidence.items():
+            expected[f].append((g, ids[key]))
+            expected[g].append((f, ids[key]))
+        assert [sorted(adj) for adj in tri.face_adjacency] == \
+            [sorted(adj) for adj in expected], tri
 
 
 def test_euler_characteristic_zero():

@@ -9,13 +9,17 @@ from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import kempe_change, wsk_step
 from kempetorus.lattice import NotSimpleError, build
-from kempetorus.nonsingular import (_cycle_homotopy, algcr, all_ns_cycles,
-                                    check_ns_minimal_structure, classify_edges,
-                                    ns_cycles, ns_minimal_reduce)
+from kempetorus.nonsingular import (PAIRS, _cycle_homotopy, algcr,
+                                    all_ns_cycles, check_ns_minimal_structure,
+                                    classify_edges, ns_minimal_reduce)
 
 
 def as4(c):
     return Coloring(c.tri, 4, c.colors)
+
+
+def nonsingular_edges(tri, c):
+    return {e for es in classify_edges(tri, c).values() for e in es}
 
 
 def apply_moves(tri, c, moves):
@@ -27,23 +31,21 @@ def apply_moves(tri, c, moves):
 
 def test_nonsingular_coloring_has_no_singular_edges():
     tri = build(6, 6, 0)
-    cls = classify_edges(tri, nonsingular_coloring(tri))
-    assert len(cls.singular) == 0
-    assert len(cls.all_nonsingular()) == 108
+    assert nonsingular_edges(tri, nonsingular_coloring(tri)) == set(range(108))
 
 
 def test_three_coloring_all_singular():
     for (r, s, t) in ((6, 6, 0), (9, 3, 0), (6, 2, 2)):
         tri = build(r, s, t)
-        cls = classify_edges(tri, as4(three_coloring(tri)))
-        assert len(cls.singular) == len(tri.edges)
+        buckets = classify_edges(tri, as4(three_coloring(tri)))
+        assert buckets == {pair: [] for pair in PAIRS}
 
 
 def test_swap_fixture_buckets():
     c = load_fixture("t66_swap_bottom")
-    cls = classify_edges(c.tri, c)
-    n12 = cls.nonsingular[(1, 2)]
-    n34 = cls.nonsingular[(3, 4)]
+    buckets = classify_edges(c.tri, c)
+    n12 = buckets[(1, 2)]
+    n34 = buckets[(3, 4)]
     assert 0 < len(n12) < len(c.tri.edges)
     assert 0 < len(n34) < len(c.tri.edges)
 
@@ -51,8 +53,9 @@ def test_swap_fixture_buckets():
 def test_ns_cycles_of_nonsingular():
     tri = build(6, 6, 0)
     c = nonsingular_coloring(tri)
+    every = all_ns_cycles(tri, c)
     for pair in ((1, 2), (3, 4)):
-        cycles = ns_cycles(tri, c, *pair)
+        cycles = every[pair]
         assert len(cycles) == 3
         assert all(len(cy.vertices) == 6 for cy in cycles)
         assert len({cy.homotopy for cy in cycles}) == 1
@@ -116,9 +119,9 @@ def test_reduce_monotone_nonsingular_sets():
     c = as4(three_coloring(tri))
     for _ in range(30):
         c = wsk_step(tri, c, rng)
-    before = set(classify_edges(tri, c).all_nonsingular())
+    before = nonsingular_edges(tri, c)
     reduced, _ = ns_minimal_reduce(tri, c)
-    after = set(classify_edges(tri, reduced).all_nonsingular())
+    after = nonsingular_edges(tri, reduced)
     assert after <= before
 
 
@@ -204,8 +207,7 @@ def test_edge_classification_rejects_a_coloring_of_another_torus():
     # error, not a broken structure law
     fx = load_fixture("t66_ns")
     other = build(6, 6, 3)
-    for call in (classify_edges, all_ns_cycles, check_ns_minimal_structure,
-                 lambda tri, c: ns_cycles(tri, c, 1, 2)):
+    for call in (classify_edges, all_ns_cycles, check_ns_minimal_structure):
         with pytest.raises(ValueError,
                            match="T\\(6,6,0\\) given for T\\(6,6,3\\)"):
             call(other, fx)

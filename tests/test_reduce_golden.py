@@ -16,9 +16,8 @@ from kempetorus.construct import construct_deg6_symmetric
 from kempetorus.fixtures import NAMES, load_fixture
 from kempetorus.kempe import wsk_step
 from kempetorus.lattice import build
-from kempetorus.nonsingular import (PAIRS, all_ns_cycles,
-                                    check_ns_minimal_structure, ns_cycles,
-                                    ns_minimal_reduce)
+from kempetorus.nonsingular import (all_ns_cycles, check_ns_minimal_structure,
+                                    classify_edges, ns_minimal_reduce)
 
 WSK_STEPS = 10
 SEEDS = (1, 2, 3)
@@ -107,6 +106,10 @@ def test_reduction_matches_golden(label, c):
 
 @pytest.mark.parametrize("label,c", CASES, ids=[lb for lb, _ in CASES])
 def test_ns_cycles_agree_with_all_ns_cycles(label, c):
-    every = all_ns_cycles(c.tri, c)
-    for pair in PAIRS:
-        assert ns_cycles(c.tri, c, *pair) == every[pair]
+    # each pair's cycles are vertex-disjoint and use every edge of its
+    # classify_edges bucket exactly once
+    buckets = classify_edges(c.tri, c)
+    for pair, cycles in all_ns_cycles(c.tri, c).items():
+        vertices = [v for cy in cycles for v in cy.vertices]
+        assert len(vertices) == len(set(vertices)), pair
+        assert sorted(e for cy in cycles for e in cy.edges) == buckets[pair], pair

@@ -5,6 +5,7 @@ import pathlib
 import pickle
 import random
 import time
+import types
 
 import pytest
 
@@ -133,12 +134,15 @@ def test_enumeration_threads_equivalence():
             assert solo.state_degrees == multi.state_degrees, (rst, threads)
 
 
-def test_pool_never_exceeds_the_cpu_count(monkeypatch):
-    requested = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run pool tasks in-process, recording the pool sizes asked for and
+    the callables given to `map`."""
+    seen = types.SimpleNamespace(requested=[], tasks=[])
 
     class InProcessPool:
         def __init__(self, processes):
-            requested.append(processes)
+            seen.requested.append(processes)
 
         def __enter__(self):
             return self
@@ -147,15 +151,31 @@ def test_pool_never_exceeds_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, items):
+            seen.tasks.append(fn)
             return list(map(fn, items))
 
     monkeypatch.setattr(statespace.multiprocessing, "Pool", InProcessPool)
+    return seen
+
+
+def test_pool_never_exceeds_the_cpu_count(monkeypatch, in_process_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tri = build(9, 3, 0)
     solo = enumerate_colorings(tri, 4, collect=True)
     multi = enumerate_colorings(tri, 4, collect=True, threads=8)
-    assert requested == [2]
+    assert in_process_pool.requested == [2]
     assert multi == solo
+
+
+def test_pool_tasks_carry_the_torus_parameters_not_its_tables(
+        in_process_pool):
+    # the torus's tables would pickle to kilobytes (187 KB for T(27,27,0))
+    tri = build(9, 3, 0)
+    solo = enumerate_colorings(tri, 4)
+    multi = enumerate_colorings(tri, 4, threads=2)
+    [task] = in_process_pool.tasks
+    assert len(pickle.dumps(task)) < 1024
+    assert (multi.total, multi.histogram) == (solo.total, solo.histogram)
 
 
 def test_uncolorable_torus_threaded():
