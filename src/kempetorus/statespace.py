@@ -106,15 +106,22 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
             rec(v + 1, d, used_max if col <= used_max else col)
         colors[v] = 0
 
-    for prefix in prefixes:
-        start = len(prefix)
-        colors[:start] = prefix
-        deg = 0
-        for v in range(start):
-            for a, b, c in faces_at[v]:
-                deg += sign[(colors[a] * base + colors[b]) * base + colors[c]]
-        # the pinned 3 counts as used even if the cut precedes its vertex
-        rec(start, deg, max((3, *prefix)))
+    try:
+        for prefix in prefixes:
+            start = len(prefix)
+            colors[:start] = prefix
+            deg = 0
+            for v in range(start):
+                for a, b, c in faces_at[v]:
+                    deg += sign[(colors[a] * base + colors[b]) * base
+                                + colors[c]]
+            # the pinned 3 counts as used even if the cut precedes its vertex
+            rec(start, deg, max((3, *prefix)))
+    finally:
+        # rec reaches itself through its closure; left standing, that cycle
+        # keeps the sink, and every state the sink stored, alive until the
+        # cyclic collector happens to run
+        del rec
     return nodes
 
 

@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import os
 import pathlib
@@ -78,6 +79,21 @@ def test_enumeration_q_at_least_n():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000)
+
+
+def test_class_search_leaves_no_reference_cycles():
+    # a cycle through the DFS would keep every stored state alive until
+    # the cyclic collector ran, so memory would grow with the call count
+    gc.collect()
+    gc.disable()
+    try:
+        kempe_classes(build(6, 4, 1))
+        with pytest.raises(BudgetExceeded):
+            enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000,
+                                collect=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_rejects_tori_beyond_the_recursion_limit():
