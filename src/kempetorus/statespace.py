@@ -8,11 +8,19 @@ a proper coloring contains exactly one member with that face so colored);
 colors beyond 3 must first appear in ascending order, which is vacuous for
 q=4.
 The signed degree is maintained incrementally as faces complete, so the
-|degree| histogram costs O(1) per leaf.  `_dfs` is the only backtracker:
-with several threads each of the `threads` pool tasks runs it once to cut
-the tree at depth min(2r, n // 2), then once more below its own
-interleaved share of the cut, so no result depends on the thread count
-nor on the pool's size, which never exceeds the CPU count.
+|degree| histogram costs O(1) per leaf.  A row's search depends only on
+the colors of its context, the earlier vertices adjacent to it: the row
+below and, for the last row, the first row.  On a torus of more than
+three rows each row from the third on is searched once per context (and
+for q > 4 per number of colors used) and replayed from a table on later
+visits, each replay adding the nodes of the first search, so node
+counts and budgets are those of the full vertex-by-vertex tree.
+
+`_dfs` is the only backtracker: with several threads each of the
+`threads` pool tasks runs it once to cut the tree at depth
+min(2r, n // 2), then once more below its own interleaved share of the
+cut, so no result depends on the thread count nor on the pool's size,
+which never exceeds the CPU count.
 
 Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
 graph on canonical states, with one engine for every q.  A state is
@@ -61,8 +69,21 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
 
     Calls sink(colors, deg) at depth `stop` (default n) and returns the
     number of assignments performed below the prefixes (nodes).
+
+    A row's context is the set of earlier vertices adjacent to it.  A row
+    whose context leaves out some earlier vertex (every row from the
+    third on, when there are more than three) is memoised: its proper
+    colorings, their degree increments and the nodes its search takes
+    depend only on the context's colors, and for q > 4 on the colors
+    used so far.  It is searched vertex by vertex once per context, and
+    every visit adds the stored node count and descends into the stored
+    rows in order, so nodes, the budget outcome and the order in which
+    leaves reach the sink are those of the plain vertex search.  Entries
+    that depend on the first row are dropped when it changes, as the
+    search never returns to an earlier first row.  Other rows, whose
+    context comes up once per prefix, are searched in place.
     """
-    n = tri.n
+    n, r = tri.n, tri.r
     stop = n if stop is None else stop
     back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
     faces_at = [[] for _ in range(n)]
@@ -75,11 +96,64 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
     nodes = 0
     limit = budget if budget is not None else float("inf")
     colors = bytearray(n)
+    # turns[v] takes over from the vertex search on reaching v: the sink
+    # at `stop`, a row's memo at the start of a memoised row
+    turns = [None] * (n + 1)
+    turns[stop] = lambda deg, used_max: sink(colors, deg)
+
+    def memo_row(a, lo, first):
+        """The memo of row a..a+r-1, keyed by the colors of vertices
+        lo..a-1 and, if `first`, valid for one first row only."""
+        b = a + r
+        table = {}
+        held = None  # the first row the table's entries were found under
+        # used_max >= 3, so below q = 5 it never limits a color
+        wide = q > 4
+
+        def visit(deg, used_max):
+            nonlocal nodes, held
+            if first and colors[:r] != held:
+                table.clear()
+                held = colors[:r]
+            key = bytes(colors[lo:a])
+            if wide:
+                key = key, used_max
+            entry = table.get(key)
+            if entry is None:
+                rows = []
+
+                def record(d, um):
+                    row = bytes(colors[a:b])
+                    rows.append((row, d - deg, max(row)))
+
+                # search the row in place, stopping at its end
+                resume = turns[a], turns[b]
+                turns[a], turns[b] = None, record
+                count = nodes
+                rec(a, deg, used_max)
+                turns[a], turns[b] = resume
+                entry = table[key] = nodes - count, rows
+            else:
+                nodes += entry[0]
+                if nodes > limit:
+                    raise BudgetExceeded("nodes", budget)
+            go = turns[b] or functools.partial(rec, b)
+            for row, d, top in entry[1]:
+                colors[a:b] = row
+                go(deg + d, used_max if top <= used_max else top)
+        return visit
+
+    for a in range(0, stop - r + 1, r):
+        ctx = {w for v in range(a, a + r) for w in back[v] if w < a}
+        if len(ctx) < a:
+            turns[a] = memo_row(a, min(w for w in ctx if w >= r),
+                                min(ctx) < r)
 
     def rec(v, deg, used_max):
         nonlocal nodes
-        if v == stop:
-            sink(colors, deg)
+        turn = turns[v]
+        if turn is not None:
+            turn(deg, used_max)
             return
         pin = pinned.get(v)
         if pin is not None:
@@ -118,10 +192,11 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
             # the pinned 3 counts as used even if the cut precedes its vertex
             rec(start, deg, max((3, *prefix)))
     finally:
-        # rec reaches itself through its closure; left standing, that cycle
-        # keeps the sink, and every state the sink stored, alive until the
-        # cyclic collector happens to run
-        del rec
+        # rec reaches itself through its closure, and the memos reach
+        # `turns`, which holds them; left standing, those cycles keep the
+        # sink, and every state the sink stored, alive until the cyclic
+        # collector happens to run
+        del rec, turns
     return nodes
 
 

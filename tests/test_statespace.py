@@ -62,12 +62,14 @@ def test_enumeration_q2_empty():
 
 
 def test_enumeration_q5_orbit_count():
-    # face pinning + ascending first use of colors 4,5 counts orbits once
-    tri = build(3, 3, 0)
-    res = enumerate_colorings(tri, 5)
-    canon = {canonicalize(Coloring(tri, 5, bytes(c))).colors
-             for c in brute_force_colorings(tri, 5)}
-    assert res.total == len(canon)
+    # face pinning + ascending first use of colors 4,5 counts orbits once;
+    # T(3,4,1)'s last row is memoised, keyed by the colors used so far
+    for rst in ((3, 3, 0), (3, 4, 1)):
+        tri = build(*rst)
+        res = enumerate_colorings(tri, 5)
+        canon = {canonicalize(Coloring(tri, 5, bytes(c))).colors
+                 for c in brute_force_colorings(tri, 5)}
+        assert res.total == len(canon), rst
 
 
 def test_enumeration_q_at_least_n():
@@ -136,9 +138,11 @@ def test_pool_waits_for_every_part(tmp_path, monkeypatch):
 
 def test_enumeration_threads_equivalence():
     # T(3,8,2) is cut into 4 prefixes, so one of its 5 stripes is empty;
-    # T(6,2,2) is cut at depth 6, before its pinned vertex (2,2)
+    # T(6,2,2) is cut at depth 6, before its pinned vertex (2,2); rows
+    # from the third on are memoised on T(3,8,2), T(5,7,2) and T(6,4,1)
     cases = {(6, 3, 0): (2,), (9, 3, 0): (2, 3), (9, 3, 3): (2, 3),
-             (3, 8, 2): (5,), (6, 2, 2): (2,)}
+             (3, 8, 2): (5,), (6, 2, 2): (2,), (5, 7, 2): (2, 3),
+             (6, 4, 1): (2,)}
     for rst, thread_counts in cases.items():
         tri = build(*rst)
         solo = enumerate_colorings(tri, 4, collect=True)
@@ -212,6 +216,23 @@ def test_enumeration_budget_boundary():
         with pytest.raises(BudgetExceeded):
             enumerate_colorings(tri, 4, budget_nodes=nodes - 1,
                                 threads=threads)
+
+
+@pytest.mark.parametrize("rst, q, total, nodes", [
+    ((5, 7, 2), 4, 1085, 214254),
+    ((9, 3, 3), 4, 11080, 140760),
+    ((6, 4, 1), 4, 3246, 21359),
+    ((6, 4, 4), 4, 4776, 26975),
+    ((3, 8, 2), 4, 4414, 25585),
+    ((6, 6, 0), 4, 305238, 2197199),
+    ((3, 4, 1), 5, 412, 1034),
+    ((3, 5, 2), 5, 4201, 11571),
+])
+def test_enumeration_node_counts(rst, q, total, nodes):
+    # the counts of the plain vertex-by-vertex search: a memoised row adds
+    # its stored node count on every visit; q = 5 keys rows by colors used
+    res = enumerate_colorings(build(*rst), q)
+    assert (res.total, res.nodes) == (total, nodes)
 
 
 def test_enumeration_rejects_bad_thread_counts():
