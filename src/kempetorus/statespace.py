@@ -16,11 +16,11 @@ for q > 4 per number of colors used) and replayed from a table on later
 visits, each replay adding the nodes of the first search, so node
 counts and budgets are those of the full vertex-by-vertex tree.
 
-`_dfs` is the only backtracker: with several threads each of the
-`threads` pool tasks runs it once to cut the tree at depth
-min(2r, n // 2), then once more below its own interleaved share of the
-cut, so no result depends on the thread count nor on the pool's size,
-which never exceeds the CPU count.
+`_dfs` is the only backtracker, and each of the `threads` pool tasks
+runs it once: a gate at the end of row 1 lets the task go on below only
+its own interleaved share of the colorings that reach it, so no result
+depends on the thread count nor on the pool's size, which never exceeds
+the CPU count.
 
 Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
 graph on canonical states, with one engine for every q.  A state is
@@ -64,11 +64,13 @@ def _pins(tri: Triangulation) -> dict[int, int]:
     return {v: 1, e: 2, ne: 3}
 
 
-def _dfs(tri, q, prefixes, budget, sink, stop=None):
-    """Backtracking below each proper pinned prefix (bytes) in turn.
+def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
+    """Backtracking over the pinned colorings, row by row.
 
-    Calls sink(colors, deg) at depth `stop` (default n) and returns the
-    number of assignments performed below the prefixes (nodes).
+    Calls sink(colors, deg) at each leaf and returns the number of
+    assignments performed (nodes).  Each row start has a continuation,
+    built from the last row up, that colors the row and hands each
+    coloring on to the next row's; the one at n is the sink.
 
     A row's context is the set of earlier vertices adjacent to it.  A row
     whose context leaves out some earlier vertex (every row from the
@@ -81,10 +83,16 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
     leaves reach the sink are those of the plain vertex search.  Entries
     that depend on the first row are dropped when it changes, as the
     search never returns to an earlier first row.  Other rows, whose
-    context comes up once per prefix, are searched in place.
+    context comes up once per coloring of the rows above, are searched
+    in place.
+
+    A gate at cut = min(2r, n), the end of row 1 or the leaves on a
+    torus of one or two rows, goes on below every stripes-th arrival
+    from the stripe-th on.  Stripe 0 returns every node and any other
+    stripe only its nodes below the cut, so the stripes' counts sum to
+    the full tree's; the budget bounds every node this call performs.
     """
     n, r = tri.n, tri.r
-    stop = n if stop is None else stop
     back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
     faces_at = [[] for _ in range(n)]
     for f in tri.faces:
@@ -93,17 +101,14 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
     # colors reach min(q, n), and the pinned face always holds 1, 2 and 3
     base = max(3, min(q, n)) + 1
     sign = sign_table(base)
-    nodes = 0
+    nodes = arrivals = below = 0
     limit = budget if budget is not None else float("inf")
     colors = bytearray(n)
-    # turns[v] takes over from the vertex search on reaching v: the sink
-    # at `stop`, a row's memo at the start of a memoised row
-    turns = [None] * (n + 1)
-    turns[stop] = lambda deg, used_max: sink(colors, deg)
 
-    def memo_row(a, lo, first):
+    def memo_row(a, lo, first, go):
         """The memo of row a..a+r-1, keyed by the colors of vertices
-        lo..a-1 and, if `first`, valid for one first row only."""
+        lo..a-1 and, if `first`, valid for one first row only; each
+        stored row goes on to `go`."""
         b = a + r
         table = {}
         held = None  # the first row the table's entries were found under
@@ -126,34 +131,23 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
                     row = bytes(colors[a:b])
                     rows.append((row, d - deg, max(row)))
 
-                # search the row in place, stopping at its end
-                resume = turns[a], turns[b]
-                turns[a], turns[b] = None, record
                 count = nodes
-                rec(a, deg, used_max)
-                turns[a], turns[b] = resume
+                search(a, b, record, deg, used_max)
                 entry = table[key] = nodes - count, rows
             else:
                 nodes += entry[0]
                 if nodes > limit:
                     raise BudgetExceeded("nodes", budget)
-            go = turns[b] or functools.partial(rec, b)
             for row, d, top in entry[1]:
                 colors[a:b] = row
                 go(deg + d, used_max if top <= used_max else top)
         return visit
 
-    for a in range(0, stop - r + 1, r):
-        ctx = {w for v in range(a, a + r) for w in back[v] if w < a}
-        if len(ctx) < a:
-            turns[a] = memo_row(a, min(w for w in ctx if w >= r),
-                                min(ctx) < r)
-
-    def rec(v, deg, used_max):
+    def search(v, end, go, deg, used_max):
+        """Color vertices v..end-1 in place, then go on to `go`."""
         nonlocal nodes
-        turn = turns[v]
-        if turn is not None:
-            turn(deg, used_max)
+        if v == end:
+            go(deg, used_max)
             return
         pin = pinned.get(v)
         if pin is not None:
@@ -177,27 +171,35 @@ def _dfs(tri, q, prefixes, budget, sink, stop=None):
             d = deg
             for a, b, c in fs:
                 d += sign[(colors[a] * base + colors[b]) * base + colors[c]]
-            rec(v + 1, d, used_max if col <= used_max else col)
+            search(v + 1, end, go, d, used_max if col <= used_max else col)
         colors[v] = 0
 
+    def gate(go, deg, used_max):
+        nonlocal arrivals, below
+        if arrivals % stripes == stripe:
+            count = nodes
+            go(deg, used_max)
+            below += nodes - count
+        arrivals += 1
+
+    go = lambda deg, used_max: sink(colors, deg)
+    for a in range(n - r, -1, -r):
+        if a + r == min(2 * r, n):
+            go = functools.partial(gate, go)
+        ctx = {w for v in range(a, a + r) for w in back[v] if w < a}
+        if len(ctx) < a:
+            go = memo_row(a, min(w for w in ctx if w >= r), min(ctx) < r, go)
+        else:
+            go = functools.partial(search, a, a + r, go)
     try:
-        for prefix in prefixes:
-            start = len(prefix)
-            colors[:start] = prefix
-            deg = 0
-            for v in range(start):
-                for a, b, c in faces_at[v]:
-                    deg += sign[(colors[a] * base + colors[b]) * base
-                                + colors[c]]
-            # the pinned 3 counts as used even if the cut precedes its vertex
-            rec(start, deg, max((3, *prefix)))
+        # the pinned face holds 3 before its vertices are reached
+        go(0, 3)
     finally:
-        # rec reaches itself through its closure, and the memos reach
-        # `turns`, which holds them; left standing, those cycles keep the
-        # sink, and every state the sink stored, alive until the cyclic
+        # search reaches itself through its closure; left standing, that
+        # cycle keeps the torus's tables alive until the cyclic
         # collector happens to run
-        del rec, turns
-    return nodes
+        del search
+    return nodes if stripe == 0 else below
 
 
 def _least(m: int) -> int:
@@ -284,9 +286,10 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
     """Enumerate one of `stripes` interleaved parts of the search tree of
     T(r,s,t), `rst` = (r, s, t), built here so a task pickles small.
 
-    With more than one stripe, the tree is cut at depth min(2r, n // 2)
-    and this part searches below every stripes-th prefix of the cut, from
-    the stripe-th on; only stripe 0 counts the cut's own nodes.
+    With more than one stripe, this part searches the tree down to the
+    end of row 1 (the leaves on a torus of one or two rows) and below
+    every stripes-th arrival there, from the stripe-th on; only stripe 0
+    counts the nodes above that cut (see `_dfs`).
     Returns (total, |degree| histogram, nodes, state degrees).
     """
     tri = build(*rst)
@@ -304,17 +307,7 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
         if collect:
             degs[canonical_packed(engine.label_masks(colors), n)] = d
 
-    if stripes == 1:
-        nodes = _dfs(tri, q, [b""], budget, sink)
-    else:
-        stop = min(2 * tri.r, n // 2)
-        cut = []
-        cut_nodes = _dfs(tri, q, [b""], budget,
-                         lambda colors, deg: cut.append(bytes(colors[:stop])),
-                         stop)
-        nodes = _dfs(tri, q, cut[stripe::stripes], budget, sink)
-        if stripe == 0:
-            nodes += cut_nodes
+    nodes = _dfs(tri, q, budget, sink, stripes, stripe)
     return total, hist, nodes, degs
 
 
@@ -325,9 +318,10 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
 
     `collect` maps the canonical key of every state to its |degree|
     (meaningful for q = 4).  One thread searches the whole tree
-    in-process; with `threads` > 1 the tree is cut at depth
-    min(2r, n // 2) into `threads` interleaved stripes, each searched by
-    one task of a process pool of at most `os.cpu_count()` workers.
+    in-process; with `threads` > 1 the tree is cut at the end of row 1
+    (at the leaves on a torus of one or two rows) into `threads`
+    interleaved stripes, each searched by one task of a process pool of
+    at most `os.cpu_count()` workers.
     Results, node count included, are independent of `threads`, and so
     is whether `budget_nodes` is exceeded.  A torus of more than
     `sys.getrecursionlimit()` - 100 vertices raises ValueError, as the

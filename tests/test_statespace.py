@@ -137,9 +137,9 @@ def test_pool_waits_for_every_part(tmp_path, monkeypatch):
 
 
 def test_enumeration_threads_equivalence():
-    # T(3,8,2) is cut into 4 prefixes, so one of its 5 stripes is empty;
-    # T(6,2,2) is cut at depth 6, before its pinned vertex (2,2); rows
-    # from the third on are memoised on T(3,8,2), T(5,7,2) and T(6,4,1)
+    # 4 colorings of T(3,8,2) reach the end of row 1, so one of its 5
+    # stripes is empty; T(6,2,2) is cut at its leaves; rows from the
+    # third on are memoised on T(3,8,2), T(5,7,2) and T(6,4,1)
     cases = {(6, 3, 0): (2,), (9, 3, 0): (2, 3), (9, 3, 3): (2, 3),
              (3, 8, 2): (5,), (6, 2, 2): (2,), (5, 7, 2): (2, 3),
              (6, 4, 1): (2,)}
@@ -199,23 +199,50 @@ def test_pool_tasks_carry_the_torus_parameters_not_its_tables(
 
 
 def test_uncolorable_torus_threaded():
-    # T(7,1,2) is K7: its 2 prefixes at depth 3 have no proper completion,
-    # yet every part returns a degree map
+    # T(7,1,2) is K7: no coloring reaches its cut at the leaves, yet
+    # every part returns a degree map
     dec = kempe_classes(build(7, 1, 2), 4, threads=2)
     assert (dec.total, dec.num_classes) == (0, 0)
 
 
 def test_enumeration_budget_boundary():
-    # the budget outcome is exact at every thread count
-    tri = build(6, 5, 2)
-    nodes = enumerate_colorings(tri, 4).nodes
-    assert nodes == 215769
-    for threads in (1, 2):
-        res = enumerate_colorings(tri, 4, budget_nodes=nodes, threads=threads)
-        assert res.nodes == nodes, threads
-        with pytest.raises(BudgetExceeded):
-            enumerate_colorings(tri, 4, budget_nodes=nodes - 1,
-                                threads=threads)
+    # the budget outcome is exact at every thread count; a stripe other
+    # than 0 counts the nodes above the cut against its budget too.
+    # T(9,3,3) is cut before its last row, which is searched in place,
+    # and T(6,2,2) at its leaves
+    for rst, nodes in (((6, 5, 2), 215769), ((9, 3, 3), 140760),
+                       ((6, 2, 2), 312)):
+        tri = build(*rst)
+        assert enumerate_colorings(tri, 4).nodes == nodes, rst
+        for threads in (1, 2, 3):
+            res = enumerate_colorings(tri, 4, budget_nodes=nodes,
+                                      threads=threads)
+            assert res.nodes == nodes, (rst, threads)
+            with pytest.raises(BudgetExceeded):
+                enumerate_colorings(tri, 4, budget_nodes=nodes - 1,
+                                    threads=threads)
+
+
+def test_stripes_partition_the_enumeration():
+    # in-process, so the sweep reaches empty stripes, K7 (T(7,1,2)) and
+    # the one-row tori's wrapped pinned face: the stripes' states are
+    # disjoint and together give the one-stripe results
+    for tri in SMALL_TORI:
+        rst = (tri.r, tri.s, tri.t)
+        total, hist, nodes, degs = statespace._enum_task(rst, 4, None, True,
+                                                         1, 0)
+        for stripes in (2, 3, 4):
+            parts = [statespace._enum_task(rst, 4, None, True, stripes, k)
+                     for k in range(stripes)]
+            assert sum(p[0] for p in parts) == total, (rst, stripes)
+            assert sum(p[2] for p in parts) == nodes, (rst, stripes)
+            assert sum((collections.Counter(p[1]) for p in parts),
+                       collections.Counter()) == hist, (rst, stripes)
+            merged = {}
+            for p in parts:
+                assert not merged.keys() & p[3].keys(), (rst, stripes)
+                merged.update(p[3])
+            assert merged == degs, (rst, stripes)
 
 
 @pytest.mark.parametrize("rst, q, total, nodes", [
