@@ -156,19 +156,22 @@ def coloring_from_rows(tri: Triangulation, rows, q: int = 4) -> Coloring:
     return Coloring(tri, q, _row_colors(rows, tri.r, tri.s, tri.t))
 
 
+# randomized DFS has a heavy-tailed runtime; restarts cure it
+_RESTARTS = 1000
+
+
 def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
     """Uniformly random-ish proper q-coloring via randomized backtracking.
 
     Not uniform over colorings; used for seeding dynamics and property
     sweeps where only properness matters.  Raises BudgetExceeded when all
-    1000 restarts run out of their node budget.
+    _RESTARTS restarts run out of their node budget.
     """
     if q < 4:
         raise ValueError("randomized search is only supported for q >= 4")
     n = tri.n
-    # randomized DFS has a heavy-tailed runtime; restarts cure it
     budget = 60 * n
-    for _attempt in range(1000):
+    for _attempt in range(_RESTARTS):
         colors = bytearray(n)
         stack: list[list[int]] = []  # remaining candidate colors per level
         i = 0
@@ -192,7 +195,8 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
                 colors[i] = 0
         if i == n:
             return Coloring(tri, q, bytes(colors))
-    raise BudgetExceeded(f"{tri.descriptor()} random-start restarts", 1000)
+    raise BudgetExceeded(f"{tri.descriptor()} random-start restarts",
+                         _RESTARTS)
 
 
 # Grid text: header "T r s t q" (q any integer), then exactly s lines of r

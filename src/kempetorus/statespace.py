@@ -12,9 +12,14 @@ The signed degree is maintained incrementally as faces complete, so the
 the colors of its context, the earlier vertices adjacent to it: the row
 below and, for the last row, the first row.  On a torus of more than
 three rows each row from the third on is searched once per context (and
-for q > 4 per number of colors used) and replayed from a table on later
-visits, each replay adding the nodes of the first search, so node
-counts and budgets are those of the full vertex-by-vertex tree.
+for q > 4 per number of colors used) and read from a table on later
+visits, each visit adding the nodes of the first search, so node counts
+and budgets are those of the full vertex-by-vertex tree.  The middle
+rows are translates of each other and share one table.  With `collect`
+every stored row is replayed down to the leaves; count-only, each of
+these rows returns the signed-degree histogram of its whole subtree,
+found once per coloring of the row below while the first row stands (a
+lazy transfer matrix), so T(6,9)'s 299 million colorings take a second.
 
 `_dfs` is the only backtracker, and each of the `threads` pool tasks
 runs it once: a gate at the end of row 1 lets the task go on below only
@@ -64,13 +69,14 @@ def _pins(tri: Triangulation) -> dict[int, int]:
     return {v: 1, e: 2, ne: 3}
 
 
-def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
+def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     """Backtracking over the pinned colorings, row by row.
 
-    Calls sink(colors, deg) at each leaf and returns the number of
-    assignments performed (nodes).  Each row start has a continuation,
+    Returns (nodes, signed): the number of assignments performed and the
+    number of colorings at each signed degree.  Given a sink, it calls
+    sink(colors, deg) at each leaf.  Each row start has a continuation,
     built from the last row up, that colors the row and hands each
-    coloring on to the next row's; the one at n is the sink.
+    coloring on to the next row's; the one at n is the leaf.
 
     A row's context is the set of earlier vertices adjacent to it.  A row
     whose context leaves out some earlier vertex (every row from the
@@ -78,13 +84,24 @@ def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
     colorings, their degree increments and the nodes its search takes
     depend only on the context's colors, and for q > 4 on the colors
     used so far.  It is searched vertex by vertex once per context, and
-    every visit adds the stored node count and descends into the stored
-    rows in order, so nodes, the budget outcome and the order in which
-    leaves reach the sink are those of the plain vertex search.  Entries
-    that depend on the first row are dropped when it changes, as the
+    every visit adds the stored node count, so nodes and the budget
+    outcome are those of the plain vertex search.  A middle row, whose
+    context is the row below it, is a translate of every other, so they
+    all share one table; the last row's context holds part of the first
+    row, and its entries are dropped when the first row changes, as the
     search never returns to an earlier first row.  Other rows, whose
     context comes up once per coloring of the rows above, are searched
     in place.
+
+    With a sink, a memoised row descends into its stored colorings in
+    order, so leaves reach the sink in the order of the plain search.
+    Without one (count only), each row from the first memoised one down
+    returns the signed-degree histogram of its whole subtree, relative
+    to its entry, and memoises it with the subtree's node count by the
+    colors of the row below (and the colors used, for q > 4) until the
+    first row changes; the first memoised row's histogram, shifted by
+    the degree there, is added to the result.  This is the
+    transfer-matrix count, done lazily inside the one search.
 
     A gate at cut = min(2r, n), the end of row 1 or the leaves on a
     torus of one or two rows, goes on below every stripes-th arrival
@@ -104,44 +121,84 @@ def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
     nodes = arrivals = below = 0
     limit = budget if budget is not None else float("inf")
     colors = bytearray(n)
+    signed: dict[int, int] = {}
+    # used_max >= 3, so below q = 5 it never limits a color
+    wide = q > 4
+    held = None     # the first row the tables in `per_first` were filled under
+    per_first = []  # the tables whose entries hold for one first row only
 
-    def memo_row(a, lo, first, go):
-        """The memo of row a..a+r-1, keyed by the colors of vertices
-        lo..a-1 and, if `first`, valid for one first row only; each
-        stored row goes on to `go`."""
+    def hit(entry):
+        """Add a stored entry's nodes, as if its search ran again."""
+        nonlocal nodes
+        nodes += entry[0]
+        if nodes > limit:
+            raise BudgetExceeded("nodes", budget)
+        return entry[1]
+
+    def extensions(a, lo, table):
+        """The colorings of row a..a+r-1, each with its degree increment
+        and top color, stored in `table` by the colors of vertices
+        lo..a-1 (and used_max for q > 4)."""
         b = a + r
-        table = {}
-        held = None  # the first row the table's entries were found under
-        # used_max >= 3, so below q = 5 it never limits a color
-        wide = q > 4
 
-        def visit(deg, used_max):
-            nonlocal nodes, held
-            if first and colors[:r] != held:
-                table.clear()
-                held = colors[:r]
+        def rows_of(used_max):
             key = bytes(colors[lo:a])
             if wide:
                 key = key, used_max
             entry = table.get(key)
-            if entry is None:
-                rows = []
+            if entry is not None:
+                return hit(entry)
+            rows = []
 
-                def record(d, um):
-                    row = bytes(colors[a:b])
-                    rows.append((row, d - deg, max(row)))
+            def record(d, um):
+                row = bytes(colors[a:b])
+                rows.append((row, d, max(row)))
 
-                count = nodes
-                search(a, b, record, deg, used_max)
-                entry = table[key] = nodes - count, rows
-            else:
-                nodes += entry[0]
-                if nodes > limit:
-                    raise BudgetExceeded("nodes", budget)
-            for row, d, top in entry[1]:
+            count = nodes
+            search(a, b, record, 0, used_max)
+            table[key] = nodes - count, rows
+            return rows
+        return rows_of
+
+    def replay(a, rows_of, go):
+        """Color row a from its stored colorings, each going on to `go`."""
+        b = a + r
+
+        def visit(deg, used_max):
+            for row, d, top in rows_of(used_max):
                 colors[a:b] = row
                 go(deg + d, used_max if top <= used_max else top)
         return visit
+
+    def subtree(a, lo, rows_of, hist_of):
+        """The signed-degree histogram of the subtree from row a down,
+        relative to its entry; `hist_of` is the next row's, or None below
+        the last row."""
+        b = a + r
+        table = {}
+        per_first.append(table)
+
+        def hist(used_max):
+            key = bytes(colors[lo:a])
+            if wide:
+                key = key, used_max
+            entry = table.get(key)
+            if entry is not None:
+                return hit(entry)
+            count = nodes
+            out = {}
+            for row, d, top in rows_of(used_max):
+                if hist_of is None:
+                    out[d] = out.get(d, 0) + 1
+                    continue
+                colors[a:b] = row
+                for k, c in hist_of(used_max if top <= used_max
+                                    else top).items():
+                    k += d
+                    out[k] = out.get(k, 0) + c
+            table[key] = nodes - count, out
+            return out
+        return hist
 
     def search(v, end, go, deg, used_max):
         """Color vertices v..end-1 in place, then go on to `go`."""
@@ -174,6 +231,20 @@ def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
             search(v + 1, end, go, d, used_max if col <= used_max else col)
         colors[v] = 0
 
+    def enter(go, deg, used_max):
+        """Reach the first memoised row."""
+        nonlocal held
+        if colors[:r] != held:
+            held = colors[:r]
+            for table in per_first:
+                table.clear()
+        go(deg, used_max)
+
+    def add_below(hist_of, deg, used_max):
+        for d, c in hist_of(used_max).items():
+            d += deg
+            signed[d] = signed.get(d, 0) + c
+
     def gate(go, deg, used_max):
         nonlocal arrivals, below
         if arrivals % stripes == stripe:
@@ -182,15 +253,42 @@ def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
             below += nodes - count
         arrivals += 1
 
-    go = lambda deg, used_max: sink(colors, deg)
+    def leaf(deg, used_max):
+        signed[deg] = signed.get(deg, 0) + 1
+        if sink is not None:
+            sink(colors, deg)
+
+    def context(a):
+        return {w for v in range(a, a + r) for w in back[v] if w < a}
+
+    # the memoised rows run on from the third to the last; the subtree
+    # below one meets the rows above only through its context and the
+    # first row
+    memoised = [a for a in range(r, n, r) if len(context(a)) < a]
+    middle = {}  # the table the middle rows share
+    go, hist_of = leaf, None
     for a in range(n - r, -1, -r):
         if a + r == min(2 * r, n):
             go = functools.partial(gate, go)
-        ctx = {w for v in range(a, a + r) for w in back[v] if w < a}
-        if len(ctx) < a:
-            go = memo_row(a, min(w for w in ctx if w >= r), min(ctx) < r, go)
-        else:
+        if a not in memoised:
             go = functools.partial(search, a, a + r, go)
+            continue
+        ctx = context(a)
+        lo = min(w for w in ctx if w >= r)
+        if min(ctx) < r:
+            table = {}
+            per_first.append(table)
+        else:
+            table = middle
+        rows_of = extensions(a, lo, table)
+        if sink is None:
+            hist_of = subtree(a, lo, rows_of, hist_of)
+        else:
+            go = replay(a, rows_of, go)
+        if a == memoised[0]:
+            if sink is None:
+                go = functools.partial(add_below, hist_of)
+            go = functools.partial(enter, go)
     try:
         # the pinned face holds 3 before its vertices are reached
         go(0, 3)
@@ -199,7 +297,7 @@ def _dfs(tri, q, budget, sink, stripes=1, stripe=0):
         # cycle keeps the torus's tables alive until the cyclic
         # collector happens to run
         del search
-    return nodes if stripe == 0 else below
+    return (nodes if stripe == 0 else below), signed
 
 
 def _least(m: int) -> int:
@@ -290,25 +388,24 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
     end of row 1 (the leaves on a torus of one or two rows) and below
     every stripes-th arrival there, from the stripe-th on; only stripe 0
     counts the nodes above that cut (see `_dfs`).
-    Returns (total, |degree| histogram, nodes, state degrees).
+    Returns (total, |degree| histogram, nodes, state degrees), folded from
+    the search's signed-degree histogram; the state degrees are empty
+    unless `collect`.
     """
     tri = build(*rst)
     n = tri.n
     engine = PackedKempe(tri, q) if collect else None
-    total = 0
-    hist: dict[int, int] = {}
     degs: dict[int, int] = {}
 
     def sink(colors, deg):
-        nonlocal total
-        total += 1
-        d = abs(deg)
-        hist[d] = hist.get(d, 0) + 1
-        if collect:
-            degs[canonical_packed(engine.label_masks(colors), n)] = d
+        degs[canonical_packed(engine.label_masks(colors), n)] = abs(deg)
 
-    nodes = _dfs(tri, q, budget, sink, stripes, stripe)
-    return total, hist, nodes, degs
+    nodes, signed = _dfs(tri, q, budget, sink if collect else None,
+                         stripes, stripe)
+    hist: dict[int, int] = {}
+    for d, count in signed.items():
+        hist[abs(d)] = hist.get(abs(d), 0) + count
+    return sum(signed.values()), hist, nodes, degs
 
 
 def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,

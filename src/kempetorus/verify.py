@@ -185,8 +185,8 @@ CRITERIA = (
                                               (46, 6, {6: 45, 18: 1})]})),
     ("C3", "T(3,3) degrees and class count", "quick", partial(
         _pinned, _classes, pins={"T(3,3,0)": [(10, 0, {0: 10})]})),
-    # many hours of CPU, and tens of GB for the map from each of the
-    # 299146792 states to its |degree|
+    # the class half costs many hours of CPU, and tens of GB for the map
+    # from each of the 299146792 states to its |degree|; C12 is its census
     ("C4", "T(6,9) census and class count", "full", partial(
         _pinned, _classes, pins={"T(6,9,0)": [(299146792, 0, {0: 299146792})]})),
     ("C5", "witness constructions L=2..9", "quick", _witnesses),
@@ -202,6 +202,8 @@ CRITERIA = (
     ("C11", "symmetry-breaking orbit counts", "quick", partial(
         _pinned, _census, pins={"T(3,3,0)": (10, {0: 10}),
                                 "T(6,3,0)": (364, {0: 364})})),
+    ("C12", "T(6,9) enumeration census", "quick", partial(
+        _pinned, _census, pins={"T(6,9,0)": (299146792, {0: 299146792})})),
 )
 
 
@@ -216,7 +218,7 @@ def run_criterion(entry, threads: int = 1) -> dict:
 
 def run_suite(level: str = "quick", threads: int = 1):
     """Yield the records of the criteria of `level`, in table order;
-    `full` adds the multi-hour T(6,9) job."""
+    `full` adds the multi-hour T(6,9) class job."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     for entry in CRITERIA:

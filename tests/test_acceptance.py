@@ -2,8 +2,8 @@
 PASS/FAIL line.
 
 Counts and residues are exact assertions; the measured time is printed
-with each line.  Criterion 4 (the T(6,9) job) takes hours and is opt-in
-via KEMPETORUS_FULL=1.
+with each line.  Criterion 4 (the T(6,9) Kempe classes) takes hours and
+is opt-in via KEMPETORUS_FULL=1.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines, or
 `kempetorus verify` for the same checks through the CLI.

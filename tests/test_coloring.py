@@ -287,12 +287,15 @@ class NoShuffle(random.Random):
         pass
 
 
-def test_random_proper_coloring_out_of_restarts_is_a_budget_error():
-    # unshuffled, every restart repeats one search that runs out of nodes
+def test_random_proper_coloring_out_of_restarts_is_a_budget_error(
+        monkeypatch):
+    # unshuffled, every restart repeats one search that runs out of nodes,
+    # so a few restarts show what the full 1000 would
+    monkeypatch.setattr(kempetorus.coloring, "_RESTARTS", 3)
     with pytest.raises(BudgetExceeded) as info:
         random_proper_coloring(build(9, 6, 0), 4, NoShuffle(0))
     assert isinstance(info.value, RuntimeError)
     assert str(info.value) == (
-        "T(9,6,0) random-start restarts budget exceeded (limit 1000)")
+        "T(9,6,0) random-start restarts budget exceeded (limit 3)")
     assert (kempetorus.BudgetExceeded is BudgetExceeded
             and kempetorus.statespace.BudgetExceeded is BudgetExceeded)

@@ -81,6 +81,12 @@ def test_enumeration_q_at_least_n():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_colorings(build(6, 6, 0), 4, budget_nodes=1000)
+    # a stored subtree adds its nodes at once and raises as soon as the
+    # total passes the budget, long before T(6,9,0)'s 2.6e9 nodes
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        enumerate_colorings(build(6, 9, 0), 4, budget_nodes=10 ** 6)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_class_search_leaves_no_reference_cycles():
@@ -209,9 +215,10 @@ def test_enumeration_budget_boundary():
     # the budget outcome is exact at every thread count; a stripe other
     # than 0 counts the nodes above the cut against its budget too.
     # T(9,3,3) is cut before its last row, which is searched in place,
-    # and T(6,2,2) at its leaves
+    # T(6,2,2) at its leaves, and T(6,7,1)'s rows from the third on count
+    # their stored subtrees
     for rst, nodes in (((6, 5, 2), 215769), ((9, 3, 3), 140760),
-                       ((6, 2, 2), 312)):
+                       ((6, 2, 2), 312), ((6, 7, 1), 23119618)):
         tri = build(*rst)
         assert enumerate_colorings(tri, 4).nodes == nodes, rst
         for threads in (1, 2, 3):
@@ -254,10 +261,12 @@ def test_stripes_partition_the_enumeration():
     ((6, 6, 0), 4, 305238, 2197199),
     ((3, 4, 1), 5, 412, 1034),
     ((3, 5, 2), 5, 4201, 11571),
+    ((6, 7, 1), 4, 3028624, 23119618),
 ])
 def test_enumeration_node_counts(rst, q, total, nodes):
-    # the counts of the plain vertex-by-vertex search: a memoised row adds
-    # its stored node count on every visit; q = 5 keys rows by colors used
+    # the counts of the plain vertex-by-vertex search: a memoised row or
+    # subtree adds its stored node count on every visit; q = 5 keys rows
+    # by colors used
     res = enumerate_colorings(build(*rst), q)
     assert (res.total, res.nodes) == (total, nodes)
 
@@ -502,8 +511,32 @@ def test_pinned_census_against_transfer_matrix(torus, total, histogram):
         assert enumerate_colorings(tri, 4).total * 24 == labeled
 
 
-@pytest.mark.full
 def test_t69_enumeration_full():
-    res = enumerate_colorings(build(6, 9, 0), 4, threads=4)
-    assert res.total == 299146792
-    assert set(res.histogram) == {0}
+    # C4's census: every row from the third on counts its subtree once per
+    # coloring of the row below, and the node count is still the full tree's
+    for threads in (1, 2):
+        res = enumerate_colorings(build(6, 9, 0), 4, threads=threads)
+        assert (res.total, res.histogram, res.nodes) == (
+            299146792, {0: 299146792}, 2591788006), threads
+
+
+def test_count_only_enumeration_matches_the_replay():
+    # the subtree histograms against the leaf-by-leaf replay of `collect`,
+    # whole and over 1-3 stripes, on every small torus at q = 3, 4 and 5
+    for tri in SMALL_TORI:
+        rst = (tri.r, tri.s, tri.t)
+        for q in (3, 4, 5):
+            counted = enumerate_colorings(tri, q)
+            replayed = enumerate_colorings(tri, q, collect=True)
+            hist = collections.Counter(replayed.state_degrees.values())
+            assert (counted.total, counted.nodes) == (
+                len(replayed.state_degrees), replayed.nodes), (rst, q)
+            if q == 4:
+                assert counted.histogram == hist, rst
+            for stripes in (1, 2, 3):
+                parts = [statespace._enum_task(rst, q, None, False, stripes,
+                                               k) for k in range(stripes)]
+                assert sum(p[0] for p in parts) == counted.total, (rst, q)
+                assert sum(p[2] for p in parts) == counted.nodes, (rst, q)
+                assert sum((collections.Counter(p[1]) for p in parts),
+                           collections.Counter()) == hist, (rst, q)
