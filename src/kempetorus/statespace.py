@@ -22,10 +22,10 @@ found once per coloring of the row below while the first row stands (a
 lazy transfer matrix), so T(6,9)'s 299 million colorings take a second.
 
 `_dfs` is the only backtracker, and each of the `threads` pool tasks
-runs it once: a gate at the end of row 1 lets the task go on below only
-its own interleaved share of the colorings that reach it, so no result
-depends on the thread count nor on the pool's size, which never exceeds
-the CPU count.
+runs it once: a gate at the end of row 0 lets the task go on below only
+its own interleaved share of the first rows, so no two tasks search
+below the same first row, and no result depends on the thread count
+nor on the pool's size, which never exceeds the CPU count.
 
 Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
 graph on canonical states, with one engine for every q.  A state is
@@ -88,8 +88,8 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     outcome are those of the plain vertex search.  A middle row, whose
     context is the row below it, is a translate of every other, so they
     all share one table; the last row's context holds part of the first
-    row, and its entries are dropped when the first row changes, as the
-    search never returns to an earlier first row.  Other rows, whose
+    row, and its entries are dropped at each new first row, as the
+    search never returns to an earlier one.  Other rows, whose
     context comes up once per coloring of the rows above, are searched
     in place.
 
@@ -103,11 +103,13 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     the degree there, is added to the result.  This is the
     transfer-matrix count, done lazily inside the one search.
 
-    A gate at cut = min(2r, n), the end of row 1 or the leaves on a
-    torus of one or two rows, goes on below every stripes-th arrival
-    from the stripe-th on.  Stripe 0 returns every node and any other
-    stripe only its nodes below the cut, so the stripes' counts sum to
-    the full tree's; the budget bounds every node this call performs.
+    The search is cut at the end of row 0 (the leaves on a one-row
+    torus), where a gate goes on below every stripes-th first row from
+    the stripe-th on; as every first row arrives there once, the gate
+    also drops the entries that hold for one first row only.  Stripe 0
+    returns every node and any other stripe only its nodes below the
+    cut, so the stripes' counts sum to the full tree's; the budget
+    bounds every node this call performs.
     """
     n, r = tri.n, tri.r
     back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
@@ -124,7 +126,6 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     signed: dict[int, int] = {}
     # used_max >= 3, so below q = 5 it never limits a color
     wide = q > 4
-    held = None     # the first row the tables in `per_first` were filled under
     per_first = []  # the tables whose entries hold for one first row only
 
     def hit(entry):
@@ -231,23 +232,17 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
             search(v + 1, end, go, d, used_max if col <= used_max else col)
         colors[v] = 0
 
-    def enter(go, deg, used_max):
-        """Reach the first memoised row."""
-        nonlocal held
-        if colors[:r] != held:
-            held = colors[:r]
-            for table in per_first:
-                table.clear()
-        go(deg, used_max)
-
     def add_below(hist_of, deg, used_max):
         for d, c in hist_of(used_max).items():
             d += deg
             signed[d] = signed.get(d, 0) + c
 
     def gate(go, deg, used_max):
+        """Go on below this stripe's first rows, each a new one."""
         nonlocal arrivals, below
         if arrivals % stripes == stripe:
+            for table in per_first:
+                table.clear()
             count = nodes
             go(deg, used_max)
             below += nodes - count
@@ -268,7 +263,7 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     middle = {}  # the table the middle rows share
     go, hist_of = leaf, None
     for a in range(n - r, -1, -r):
-        if a + r == min(2 * r, n):
+        if a == 0:
             go = functools.partial(gate, go)
         if a not in memoised:
             go = functools.partial(search, a, a + r, go)
@@ -285,10 +280,8 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
             hist_of = subtree(a, lo, rows_of, hist_of)
         else:
             go = replay(a, rows_of, go)
-        if a == memoised[0]:
-            if sink is None:
-                go = functools.partial(add_below, hist_of)
-            go = functools.partial(enter, go)
+        if a == memoised[0] and sink is None:
+            go = functools.partial(add_below, hist_of)
     try:
         # the pinned face holds 3 before its vertices are reached
         go(0, 3)
@@ -384,10 +377,10 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
     """Enumerate one of `stripes` interleaved parts of the search tree of
     T(r,s,t), `rst` = (r, s, t), built here so a task pickles small.
 
-    With more than one stripe, this part searches the tree down to the
-    end of row 1 (the leaves on a torus of one or two rows) and below
-    every stripes-th arrival there, from the stripe-th on; only stripe 0
-    counts the nodes above that cut (see `_dfs`).
+    With more than one stripe, this part searches row 0 and goes on
+    below every stripes-th coloring of it, from the stripe-th on (a
+    one-row torus has nothing below); only stripe 0 counts the nodes of
+    row 0 (see `_dfs`).
     Returns (total, |degree| histogram, nodes, state degrees), folded from
     the search's signed-degree histogram; the state degrees are empty
     unless `collect`.
@@ -415,10 +408,11 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
 
     `collect` maps the canonical key of every state to its |degree|
     (meaningful for q = 4).  One thread searches the whole tree
-    in-process; with `threads` > 1 the tree is cut at the end of row 1
-    (at the leaves on a torus of one or two rows) into `threads`
-    interleaved stripes, each searched by one task of a process pool of
-    at most `os.cpu_count()` workers.
+    in-process; with `threads` > 1 the tree is cut at the end of row 0
+    (at the leaves on a one-row torus) into `threads` interleaved stripes
+    of first rows, each searched by one task of a process pool of at
+    most `os.cpu_count()` workers.  A narrow torus has few first rows
+    (T(3,s,t) has 2 at q = 4), so it splits into few nonempty stripes.
     Results, node count included, are independent of `threads`, and so
     is whether `budget_nodes` is exceeded.  A torus of more than
     `sys.getrecursionlimit()` - 100 vertices raises ValueError, as the

@@ -143,9 +143,10 @@ def test_pool_waits_for_every_part(tmp_path, monkeypatch):
 
 
 def test_enumeration_threads_equivalence():
-    # 4 colorings of T(3,8,2) reach the end of row 1, so one of its 5
-    # stripes is empty; T(6,2,2) is cut at its leaves; rows from the
-    # third on are memoised on T(3,8,2), T(5,7,2) and T(6,4,1)
+    # T(3,8,2) has 2 first rows, so 3 of its 5 stripes are empty;
+    # T(6,2,2) is cut before its last row, which is searched in place;
+    # rows from the third on are memoised on T(3,8,2), T(5,7,2) and
+    # T(6,4,1)
     cases = {(6, 3, 0): (2,), (9, 3, 0): (2, 3), (9, 3, 3): (2, 3),
              (3, 8, 2): (5,), (6, 2, 2): (2,), (5, 7, 2): (2, 3),
              (6, 4, 1): (2,)}
@@ -205,8 +206,8 @@ def test_pool_tasks_carry_the_torus_parameters_not_its_tables(
 
 
 def test_uncolorable_torus_threaded():
-    # T(7,1,2) is K7: no coloring reaches its cut at the leaves, yet
-    # every part returns a degree map
+    # T(7,1,2) is K7, a one-row torus cut at its leaves: no coloring
+    # reaches the cut, yet every part returns a degree map
     dec = kempe_classes(build(7, 1, 2), 4, threads=2)
     assert (dec.total, dec.num_classes) == (0, 0)
 
@@ -214,11 +215,12 @@ def test_uncolorable_torus_threaded():
 def test_enumeration_budget_boundary():
     # the budget outcome is exact at every thread count; a stripe other
     # than 0 counts the nodes above the cut against its budget too.
-    # T(9,3,3) is cut before its last row, which is searched in place,
-    # T(6,2,2) at its leaves, and T(6,7,1)'s rows from the third on count
-    # their stored subtrees
+    # T(8,1,2), a one-row torus, is cut at its leaves; T(9,3,3) and
+    # T(6,2,2) are cut before rows searched in place, and T(6,7,1)'s rows
+    # from the third on count their stored subtrees
     for rst, nodes in (((6, 5, 2), 215769), ((9, 3, 3), 140760),
-                       ((6, 2, 2), 312), ((6, 7, 1), 23119618)):
+                       ((6, 2, 2), 312), ((8, 1, 2), 9),
+                       ((6, 7, 1), 23119618)):
         tri = build(*rst)
         assert enumerate_colorings(tri, 4).nodes == nodes, rst
         for threads in (1, 2, 3):
@@ -250,6 +252,30 @@ def test_stripes_partition_the_enumeration():
                 assert not merged.keys() & p[3].keys(), (rst, stripes)
                 merged.update(p[3])
             assert merged == degs, (rst, stripes)
+
+
+def _first_rows(tri, stripes, stripe):
+    """The first rows of the colorings that one stripe reaches."""
+    rows = set()
+    statespace._dfs(tri, 4, None,
+                    lambda colors, deg: rows.add(bytes(colors[:tri.r])),
+                    stripes, stripe)
+    return rows
+
+
+def test_stripes_split_the_first_rows():
+    # each first row goes to one stripe, so no two stripes search below
+    # the same one: their sets of first rows at the leaves are disjoint
+    # and together give the one-stripe set
+    for tri in SMALL_TORI + [build(6, 5, 2), build(9, 3, 3)]:
+        whole = _first_rows(tri, 1, 0)
+        for stripes in (2, 3, 4):
+            merged = set()
+            for k in range(stripes):
+                rows = _first_rows(tri, stripes, k)
+                assert not merged & rows, (tri.descriptor(), stripes, k)
+                merged |= rows
+            assert merged == whole, (tri.descriptor(), stripes)
 
 
 @pytest.mark.parametrize("rst, q, total, nodes", [
