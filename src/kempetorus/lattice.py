@@ -39,7 +39,7 @@ class Triangulation:
     __slots__ = (
         "r", "s", "t", "n",
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
-        "neighbor_masks",   # vertex bit 1 << v -> mask of its six neighbours
+        "_neighbor_masks",  # None until `neighbor_masks` is first read
         "forward_gather",   # colors -> E, then N, then NE neighbour of every vertex
         "faces",            # list of vertex triples, clockwise boundary order
         "corner_gather",    # colors -> 1st, then 2nd, then 3rd corner of every face
@@ -65,8 +65,7 @@ class Triangulation:
                 raise NotSimpleError(
                     f"T({r},{s},{t}) is not a simple 6-regular triangulation")
         self.neighbors = nbrs
-        self.neighbor_masks = {1 << v: sum(1 << w for w in row)
-                               for v, row in enumerate(nbrs)}
+        self._neighbor_masks = None
         # E, N and NE meet every edge once; n >= 7, so a gather is a tuple
         self.forward_gather = itemgetter(
             *(row[d] for d in (0, 2, 4) for row in nbrs))
@@ -88,6 +87,20 @@ class Triangulation:
             for adj in (((2 * v + 1, 2 * n + v), (2 * so + 1, v),
                          (2 * e + 1, n + e)),
                         ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
+
+    @property
+    def neighbor_masks(self) -> dict[int, int]:
+        """Vertex bit 1 << v -> mask of its six neighbours.
+
+        n masks of n bits are quadratic in n, so they are built on the
+        first read, by a Kempe component search, their one reader.
+        """
+        masks = self._neighbor_masks
+        if masks is None:
+            masks = self._neighbor_masks = {
+                1 << v: sum(1 << w for w in row)
+                for v, row in enumerate(self.neighbors)}
+        return masks
 
     def _wrap(self, x: int, y: int) -> int:
         # a vertical wrap shifts x by +-t; only +-1 row steps occur here

@@ -27,8 +27,9 @@ its own interleaved share of the first rows, so no two tasks search
 below the same first row, and no result depends on the thread count
 nor on the pool's size, which never exceeds the CPU count.
 
-Class decomposition is one BFS loop, `_bfs_class_stats`, over the Kempe
-graph on canonical states, with one engine for every q.  A state is
+Class decomposition is one breadth-first search, `_bfs_class_stats`,
+over the Kempe graph on canonical states, with one engine for every q:
+each class's members form its FIFO queue.  A state is
 keyed by its color masks (bit v is vertex v) in first-appearance order,
 so a Kempe change is two mask xors and a re-sort; its components come
 from `kempe.components`, the library's one Kempe component search.
@@ -80,27 +81,25 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
 
     A row's context is the set of earlier vertices adjacent to it.  A row
     whose context leaves out some earlier vertex (every row from the
-    third on, when there are more than three) is memoised: its proper
-    colorings, their degree increments and the nodes its search takes
-    depend only on the context's colors, and for q > 4 on the colors
-    used so far.  It is searched vertex by vertex once per context, and
-    every visit adds the stored node count, so nodes and the budget
-    outcome are those of the plain vertex search.  A middle row, whose
-    context is the row below it, is a translate of every other, so they
-    all share one table; the last row's context holds part of the first
-    row, and its entries are dropped at each new first row, as the
-    search never returns to an earlier one.  Other rows, whose
-    context comes up once per coloring of the rows above, are searched
-    in place.
+    third on, when there are more than three) is memoised, as what its
+    search yields depends only on the context's colors, and for q > 4 on
+    the colors used so far.  One rule, `memo`, keys its entries by those
+    colors: a miss computes the entry and stores it with the nodes that
+    took, and a hit adds the stored nodes and checks the budget, so nodes
+    and the budget outcome are those of the plain vertex search.  Each
+    memoised row stores its proper colorings; a middle row, whose context
+    is the row below it, is a translate of every other, so they all share
+    one table.  The last row's context holds part of the first row, and
+    its entries are dropped at each new first row, as the search never
+    returns to an earlier one.  Other rows, whose context comes up once
+    per coloring of the rows above, are searched in place.
 
     With a sink, a memoised row descends into its stored colorings in
     order, so leaves reach the sink in the order of the plain search.
-    Without one (count only), each row from the first memoised one down
-    returns the signed-degree histogram of its whole subtree, relative
-    to its entry, and memoises it with the subtree's node count by the
-    colors of the row below (and the colors used, for q > 4) until the
-    first row changes; the first memoised row's histogram, shifted by
-    the degree there, is added to the result.  This is the
+    Without one (count only), each memoised row also stores, until the
+    first row changes, the signed-degree histogram of its whole subtree
+    relative to its entry; the first memoised row's histogram, shifted
+    by the degree there, is added to the result.  This is the
     transfer-matrix count, done lazily inside the one search.
 
     The search is cut at the end of row 0 (the leaves on a one-row
@@ -128,38 +127,41 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     wide = q > 4
     per_first = []  # the tables whose entries hold for one first row only
 
-    def hit(entry):
-        """Add a stored entry's nodes, as if its search ran again."""
-        nonlocal nodes
-        nodes += entry[0]
-        if nodes > limit:
-            raise BudgetExceeded("nodes", budget)
-        return entry[1]
+    def memo(lo, a, table, compute):
+        """The lookup of row a's entries in `table`, keyed by the colors
+        of vertices lo..a-1 (and used_max for q > 4): a miss stores
+        compute(used_max) with the nodes it took, and a hit adds those
+        nodes, as if compute ran again, and checks the budget."""
 
-    def extensions(a, lo, table):
-        """The colorings of row a..a+r-1, each with its degree increment
-        and top color, stored in `table` by the colors of vertices
-        lo..a-1 (and used_max for q > 4)."""
-        b = a + r
-
-        def rows_of(used_max):
+        def lookup(used_max):
+            nonlocal nodes
             key = bytes(colors[lo:a])
             if wide:
                 key = key, used_max
             entry = table.get(key)
-            if entry is not None:
-                return hit(entry)
-            rows = []
+            if entry is None:
+                count = nodes
+                out = compute(used_max)
+                table[key] = nodes - count, out
+                return out
+            nodes += entry[0]
+            if nodes > limit:
+                raise BudgetExceeded("nodes", budget)
+            return entry[1]
+        return lookup
 
-            def record(d, um):
-                row = bytes(colors[a:b])
-                rows.append((row, d, max(row)))
+    def extensions(a, used_max):
+        """The colorings of row a..a+r-1, each with its degree increment
+        and top color."""
+        b = a + r
+        rows = []
 
-            count = nodes
-            search(a, b, record, 0, used_max)
-            table[key] = nodes - count, rows
-            return rows
-        return rows_of
+        def record(d, um):
+            row = bytes(colors[a:b])
+            rows.append((row, d, max(row)))
+
+        search(a, b, record, 0, used_max)
+        return rows
 
     def replay(a, rows_of, go):
         """Color row a from its stored colorings, each going on to `go`."""
@@ -171,35 +173,22 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
                 go(deg + d, used_max if top <= used_max else top)
         return visit
 
-    def subtree(a, lo, rows_of, hist_of):
+    def subtree(a, rows_of, hist_of, used_max):
         """The signed-degree histogram of the subtree from row a down,
         relative to its entry; `hist_of` is the next row's, or None below
         the last row."""
         b = a + r
-        table = {}
-        per_first.append(table)
-
-        def hist(used_max):
-            key = bytes(colors[lo:a])
-            if wide:
-                key = key, used_max
-            entry = table.get(key)
-            if entry is not None:
-                return hit(entry)
-            count = nodes
-            out = {}
-            for row, d, top in rows_of(used_max):
-                if hist_of is None:
-                    out[d] = out.get(d, 0) + 1
-                    continue
-                colors[a:b] = row
-                for k, c in hist_of(used_max if top <= used_max
-                                    else top).items():
-                    k += d
-                    out[k] = out.get(k, 0) + c
-            table[key] = nodes - count, out
-            return out
-        return hist
+        out = {}
+        for row, d, top in rows_of(used_max):
+            if hist_of is None:
+                out[d] = out.get(d, 0) + 1
+                continue
+            colors[a:b] = row
+            for k, c in hist_of(used_max if top <= used_max
+                                else top).items():
+                k += d
+                out[k] = out.get(k, 0) + c
+        return out
 
     def search(v, end, go, deg, used_max):
         """Color vertices v..end-1 in place, then go on to `go`."""
@@ -275,9 +264,11 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
             per_first.append(table)
         else:
             table = middle
-        rows_of = extensions(a, lo, table)
+        rows_of = memo(lo, a, table, functools.partial(extensions, a))
         if sink is None:
-            hist_of = subtree(a, lo, rows_of, hist_of)
+            per_first.append({})
+            hist_of = memo(lo, a, per_first[-1],
+                           functools.partial(subtree, a, rows_of, hist_of))
         else:
             go = replay(a, rows_of, go)
         if a == memoised[0] and sink is None:
@@ -482,32 +473,27 @@ class ClassDecomposition:
 def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     """BFS one Kempe class; returns (size, |degree| histogram, least key).
 
-    `degs` maps every enumerated state to its |degree|, and is set to
-    None for each state the search reaches; callers share it across
-    classes.  A Kempe move to a state missing from `degs` is a bug.
+    `degs` maps every enumerated state to its |degree|, and each state
+    the search reaches is set to None there and appended to `members`,
+    which the search reads in order as it grows, a FIFO queue; callers
+    share `degs` across classes.  A Kempe move to a state missing from
+    `degs` is a bug.
     """
-    size = 0
-    least = seed
-    dhist: dict[int, int] = {}
-    level = {seed: degs[seed]}
-    while level:
-        size += len(level)
-        least = min(least, min(level))
-        for state, d in level.items():
-            degs[state] = None
-            dhist[d] = dhist.get(d, 0) + 1
-        nxt = {}
-        try:
-            for state in level:
-                for k in engine.neighbor_keys(state):
-                    d = degs[k]
-                    if d is not None:
-                        nxt[k] = d
-        except KeyError:
-            raise AssertionError(
-                "Kempe move left the enumerated state universe: bug") from None
-        level = nxt
-    return size, dhist, least
+    dhist = {degs[seed]: 1}
+    degs[seed] = None
+    members = [seed]
+    try:
+        for state in members:
+            for k in engine.neighbor_keys(state):
+                d = degs[k]
+                if d is not None:
+                    degs[k] = None
+                    dhist[d] = dhist.get(d, 0) + 1
+                    members.append(k)
+    except KeyError:
+        raise AssertionError(
+            "Kempe move left the enumerated state universe: bug") from None
+    return len(members), dhist, min(members)
 
 
 def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,

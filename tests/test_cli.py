@@ -348,14 +348,14 @@ def test_torus_beyond_the_recursion_limit_exits_2(capsys):
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
-    # building T(r,s,t) takes memory quadratic in r*s: T(400,400,0) runs
+    # building T(r,s,t) takes memory linear in r*s: T(1500,1500,0) runs
     # out under a 2 GB address-space limit
     def exhausted(text):
         raise MemoryError
 
     monkeypatch.setattr(cli, "parse_descriptor", exhausted)
     for cmd in ("build", "enumerate", "classes"):
-        code = main([cmd, "--tri", "T(400,400,0)"])
+        code = main([cmd, "--tri", "T(1500,1500,0)"])
         assert code == 3, cmd
         out = capsys.readouterr()
         assert out.out == ""

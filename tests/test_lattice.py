@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
-from kempetorus.lattice import (NotSimpleError, build, is_three_colorable,
-                                parse_descriptor)
+from kempetorus.kempe import components
+from kempetorus.lattice import (NotSimpleError, Triangulation, build,
+                                is_three_colorable, parse_descriptor)
 
 from oracles import face_incidence, has_three_coloring
 from tori import LARGE_TORI, SMALL_TORI
@@ -167,6 +169,26 @@ def test_json_dump_roundtrips():
     assert data["r"] == 4 and data["s"] == 4 and data["t"] == 1
     assert data["adjacency"] == [list(row) for row in tri.neighbors]
     assert data["faces"] == [list(f) for f in tri.faces]
+
+
+def test_construction_leaves_out_the_neighbor_masks():
+    # n masks of n bits would peak near 273 MB here; the rest of the
+    # torus is linear in n.  Constructed directly, as `build` caches
+    tracemalloc.start()
+    try:
+        Triangulation(200, 200, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+def test_neighbor_masks_are_built_by_the_first_kempe_search():
+    tri = Triangulation(6, 4, 1)
+    assert tri._neighbor_masks is None
+    assert components(tri, (1 << tri.n) - 1) == [(1 << tri.n) - 1]
+    assert tri._neighbor_masks == {
+        1 << v: sum(1 << w for w in row) for v, row in enumerate(tri.neighbors)}
 
 
 def test_parse_descriptor():

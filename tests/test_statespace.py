@@ -217,19 +217,23 @@ def test_enumeration_budget_boundary():
     # than 0 counts the nodes above the cut against its budget too.
     # T(8,1,2), a one-row torus, is cut at its leaves; T(9,3,3) and
     # T(6,2,2) are cut before rows searched in place, and T(6,7,1)'s rows
-    # from the third on count their stored subtrees
-    for rst, nodes in (((6, 5, 2), 215769), ((9, 3, 3), 140760),
-                       ((6, 2, 2), 312), ((8, 1, 2), 9),
-                       ((6, 7, 1), 23119618)):
+    # from the third on count their stored subtrees.  At q = 5 a stored
+    # row is keyed by the colors used too, and with `collect` every
+    # visit to a stored row charges the nodes of its first search
+    for rst, q, collect, nodes in (
+            ((6, 5, 2), 4, False, 215769), ((9, 3, 3), 4, False, 140760),
+            ((6, 2, 2), 4, False, 312), ((8, 1, 2), 4, False, 9),
+            ((6, 7, 1), 4, False, 23119618), ((3, 5, 2), 5, False, 11571),
+            ((3, 8, 2), 4, True, 25585), ((6, 4, 1), 4, True, 21359)):
         tri = build(*rst)
-        assert enumerate_colorings(tri, 4).nodes == nodes, rst
+        assert enumerate_colorings(tri, q, collect=collect).nodes == nodes, rst
         for threads in (1, 2, 3):
-            res = enumerate_colorings(tri, 4, budget_nodes=nodes,
-                                      threads=threads)
+            res = enumerate_colorings(tri, q, budget_nodes=nodes,
+                                      threads=threads, collect=collect)
             assert res.nodes == nodes, (rst, threads)
             with pytest.raises(BudgetExceeded):
-                enumerate_colorings(tri, 4, budget_nodes=nodes - 1,
-                                    threads=threads)
+                enumerate_colorings(tri, q, budget_nodes=nodes - 1,
+                                    threads=threads, collect=collect)
 
 
 def test_stripes_partition_the_enumeration():
@@ -419,6 +423,22 @@ def test_kempe_classes_match_brute_force_oracle():
         _check_representatives(tri, q, dec, brute_force_kempe_classes(tri, q))
         for cls in dec.classes:
             assert cls.residue is None and cls.degree_abs_counts == {}
+
+
+def test_class_search_expands_each_state_once(monkeypatch):
+    expanded = []
+    real = PackedKempe.neighbor_keys
+
+    def counted(self, key):
+        expanded.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(PackedKempe, "neighbor_keys", counted)
+    kempe_classes(build(6, 4, 1), 4)
+    assert len(expanded) == len(set(expanded)) == 3246
+    expanded.clear()
+    dec = kempe_classes(build(3, 3, 0), 5)
+    assert len(expanded) == len(set(expanded)) == dec.total
 
 
 def test_kempe_move_outside_universe_is_a_bug(monkeypatch):
