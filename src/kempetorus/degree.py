@@ -40,27 +40,28 @@ class DegreeReport:
     mod12: int
 
 
-def sign_table(base: int, target=(1, 2, 3)) -> list[int]:
-    """Sign of a face colored (a,b,c) clockwise, at index (a*base + b)*base + c.
+def sign_table(target=(1, 2, 3)) -> list[int]:
+    """Sign of a face colored (a,b,c) clockwise, at index (a*5 + b)*5 + c.
 
     +1 when (a,b,c) is a rotation of the target's orientation, -1 when it
     is a rotation of the reverse, 0 otherwise (a color off the target,
-    including 0, or a repeated color).  Colors must be below `base`.
+    including 0, or a repeated color).  Its 125 entries cover colors
+    0..4, those of a 4-coloring with 0 for an uncolored vertex.
     """
     positive = TARGET_ORIENTATIONS.get(frozenset(target))
     if positive is None:
         raise ValueError(f"target {target} is not a triangle of the tetrahedron")
     x, y, z = positive
-    table = [0] * base ** 3
+    table = [0] * 125
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        table[(a * base + b) * base + c] = 1
-        table[(a * base + c) * base + b] = -1
+        table[(a * 5 + b) * 5 + c] = 1
+        table[(a * 5 + c) * 5 + b] = -1
     return table
 
 
 def _sign_bytes(target) -> bytes:
-    """`sign_table(5, target)` as a 256-byte translation: +1 -> 1, -1 -> 2."""
-    return bytes(sign % 3 for sign in sign_table(5, target)).ljust(256, b"\0")
+    """`sign_table(target)` as a 256-byte translation: +1 -> 1, -1 -> 2."""
+    return bytes(sign % 3 for sign in sign_table(target)).ljust(256, b"\0")
 
 
 # colors 0..4, where 0 is an uncolored vertex

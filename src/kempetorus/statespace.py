@@ -7,19 +7,18 @@ the up triangle at (1,1), the first face, to colors 1,2,3 (every orbit of
 a proper coloring contains exactly one member with that face so colored);
 colors beyond 3 must first appear in ascending order, which is vacuous for
 q=4.
-The signed degree is maintained incrementally as faces complete, so the
-|degree| histogram costs O(1) per leaf.  A row's search depends only on
-the colors of its context, the earlier vertices adjacent to it: the row
-below and, for the last row, the first row.  On a torus of more than
-three rows each row from the third on is searched once per context (and
-for q > 4 per number of colors used) and read from a table on later
-visits, each visit adding the nodes of the first search, so node counts
-and budgets are those of the full vertex-by-vertex tree.  The middle
-rows are translates of each other and share one table.  With `collect`
-every stored row is replayed down to the leaves; count-only, each of
-these rows returns the signed-degree histogram of its whole subtree,
-found once per coloring of the row below while the first row stands (a
-lazy transfer matrix), so T(6,9)'s 299 million colorings take a second.
+At q = 4 the signed degree is maintained incrementally as faces
+complete, so the |degree| histogram costs O(1) per leaf; at any other q
+every degree is 0.  On a torus of more than three rows, rows 2..s-1 are
+searched once per coloring of the row below (and for q > 4 per number
+of colors used) and read from a table on later visits, each visit
+adding the nodes of the first search, so node counts and budgets are
+those of the full vertex-by-vertex tree.  The middle rows are
+translates of each other and share one table.  With `collect` every
+stored row is replayed down to the leaves; count-only, each of these
+rows returns the signed-degree histogram of its whole subtree, found
+once per coloring of the row below while the first row stands (a lazy
+transfer matrix), so T(6,9)'s 299 million colorings take a second.
 
 `_dfs` is the only backtracker, and each of the `threads` pool tasks
 runs it once: a gate at the end of row 0 lets the task go on below only
@@ -57,7 +56,7 @@ class EnumerationResult:
     total: int
     histogram: dict | None          # |degree| -> count, q = 4 only
     nodes: int                      # DFS assignments explored
-    state_degrees: dict | None = None  # key -> |degree|, if collected
+    state_degrees: dict | None = None  # key -> |degree| (0 at q != 4)
 
 
 def _pins(tri: Triangulation) -> dict[int, int]:
@@ -74,25 +73,26 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     """Backtracking over the pinned colorings, row by row.
 
     Returns (nodes, signed): the number of assignments performed and the
-    number of colorings at each signed degree.  Given a sink, it calls
-    sink(colors, deg) at each leaf.  Each row start has a continuation,
-    built from the last row up, that colors the row and hands each
-    coloring on to the next row's; the one at n is the leaf.
+    number of colorings at each signed degree, which is the degree at
+    q = 4 and 0 at any other q.  Given a sink, it calls sink(colors, deg)
+    at each leaf.  Each row start has a continuation, built from the last
+    row up, that colors the row and hands each coloring on to the next
+    row's; the one at n is the leaf.
 
-    A row's context is the set of earlier vertices adjacent to it.  A row
-    whose context leaves out some earlier vertex (every row from the
-    third on, when there are more than three) is memoised, as what its
-    search yields depends only on the context's colors, and for q > 4 on
-    the colors used so far.  One rule, `memo`, keys its entries by those
-    colors: a miss computes the entry and stores it with the nodes that
-    took, and a hit adds the stored nodes and checks the budget, so nodes
-    and the budget outcome are those of the plain vertex search.  Each
-    memoised row stores its proper colorings; a middle row, whose context
-    is the row below it, is a translate of every other, so they all share
-    one table.  The last row's context holds part of the first row, and
-    its entries are dropped at each new first row, as the search never
-    returns to an earlier one.  Other rows, whose context comes up once
-    per coloring of the rows above, are searched in place.
+    On a torus of more than three rows, rows 2..s-1 are memoised: the
+    earlier vertices adjacent to such a row are the row below and, for
+    the last row, part of the first row, so what its search yields
+    depends only on the colors of the row below, and for q > 4 on the
+    colors used so far, while the first row stands.  One rule, `memo`,
+    keys its entries by those colors: a miss computes the entry and
+    stores it with the nodes that took, and a hit adds the stored nodes
+    and checks the budget, so nodes and the budget outcome are those of
+    the plain vertex search.  Each memoised row stores its proper
+    colorings; the middle rows are translates of each other, so they all
+    share one table.  The last row's entries are dropped at each new
+    first row, as the search never returns to an earlier one.  Rows 0 and
+    1, and every row of a torus of at most three rows, come up once per
+    coloring of the rows above, and are searched in place.
 
     With a sink, a memoised row descends into its stored colorings in
     order, so leaves reach the sink in the order of the plain search.
@@ -113,12 +113,11 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     n, r = tri.n, tri.r
     back = [tuple(w for w in tri.neighbors[v] if w < v) for v in range(n)]
     faces_at = [[] for _ in range(n)]
-    for f in tri.faces:
-        faces_at[max(f)].append(f)
+    if q == 4:  # the degree is a 4-coloring's; colors then stay below 5
+        for f in tri.faces:
+            faces_at[max(f)].append(f)
     pinned = _pins(tri)
-    # colors reach min(q, n), and the pinned face always holds 1, 2 and 3
-    base = max(3, min(q, n)) + 1
-    sign = sign_table(base)
+    sign = sign_table()
     nodes = arrivals = below = 0
     limit = budget if budget is not None else float("inf")
     colors = bytearray(n)
@@ -127,15 +126,15 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     wide = q > 4
     per_first = []  # the tables whose entries hold for one first row only
 
-    def memo(lo, a, table, compute):
+    def memo(a, table, compute):
         """The lookup of row a's entries in `table`, keyed by the colors
-        of vertices lo..a-1 (and used_max for q > 4): a miss stores
+        of the row below (and used_max for q > 4): a miss stores
         compute(used_max) with the nodes it took, and a hit adds those
         nodes, as if compute ran again, and checks the budget."""
 
         def lookup(used_max):
             nonlocal nodes
-            key = bytes(colors[lo:a])
+            key = bytes(colors[a - r:a])
             if wide:
                 key = key, used_max
             entry = table.get(key)
@@ -217,7 +216,7 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
             colors[v] = col
             d = deg
             for a, b, c in fs:
-                d += sign[(colors[a] * base + colors[b]) * base + colors[c]]
+                d += sign[(colors[a] * 5 + colors[b]) * 5 + colors[c]]
             search(v + 1, end, go, d, used_max if col <= used_max else col)
         colors[v] = 0
 
@@ -242,36 +241,31 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
         if sink is not None:
             sink(colors, deg)
 
-    def context(a):
-        return {w for v in range(a, a + r) for w in back[v] if w < a}
-
-    # the memoised rows run on from the third to the last; the subtree
-    # below one meets the rows above only through its context and the
-    # first row
-    memoised = [a for a in range(r, n, r) if len(context(a)) < a]
+    # the rows from `memoised` on, rows 2..s-1 when s > 3, are memoised:
+    # the subtree below one meets the rows above only through the row
+    # below and the first row
+    memoised = 2 * r if n > 3 * r else n
     middle = {}  # the table the middle rows share
     go, hist_of = leaf, None
     for a in range(n - r, -1, -r):
         if a == 0:
             go = functools.partial(gate, go)
-        if a not in memoised:
+        if a < memoised:
             go = functools.partial(search, a, a + r, go)
             continue
-        ctx = context(a)
-        lo = min(w for w in ctx if w >= r)
-        if min(ctx) < r:
+        if a == n - r:
             table = {}
             per_first.append(table)
         else:
             table = middle
-        rows_of = memo(lo, a, table, functools.partial(extensions, a))
+        rows_of = memo(a, table, functools.partial(extensions, a))
         if sink is None:
             per_first.append({})
-            hist_of = memo(lo, a, per_first[-1],
+            hist_of = memo(a, per_first[-1],
                            functools.partial(subtree, a, rows_of, hist_of))
         else:
             go = replay(a, rows_of, go)
-        if a == memoised[0] and sink is None:
+        if a == memoised and sink is None:
             go = functools.partial(add_below, hist_of)
     try:
         # the pinned face holds 3 before its vertices are reached
@@ -397,8 +391,8 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
                         ) -> EnumerationResult:
     """Count canonical proper q-colorings; histogram |degree| for q = 4.
 
-    `collect` maps the canonical key of every state to its |degree|
-    (meaningful for q = 4).  One thread searches the whole tree
+    `collect` maps the canonical key of every state to its |degree| at
+    q = 4, and to 0 at any other q.  One thread searches the whole tree
     in-process; with `threads` > 1 the tree is cut at the end of row 0
     (at the leaves on a one-row torus) into `threads` interleaved stripes
     of first rows, each searched by one task of a process pool of at

@@ -255,8 +255,7 @@ def test_construct_deg6_unsupported():
         construct_deg6(4, 3)   # M < L
 
 
-@pytest.mark.slow
-def test_all_supported_witnesses_to_3l_30_slow():
+def test_all_supported_witnesses_to_3l_30():
     for L in range(2, 11):
         for M in range(L, 11):
             if L == 2 and not (M % 2 == 0 and (M // 2) % 2 == 1):
