@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import itertools
 import os
@@ -525,11 +526,10 @@ def test_histogram_sums_to_total():
 
 
 def _pinned_censuses():
-    """One param per torus pinned by census rows of `verify.CRITERIA`,
-    with the total and |degree| histogram that each of those rows
-    implies, {criterion id: (total, histogram)}, summed over the classes
-    of a class list.  Tori above 18 vertices are slow for the oracle."""
-    implied = {}
+    """One param per torus pinned by a census row of `verify.CRITERIA`:
+    its total and |degree| histogram, summed over the classes of a class
+    list.  Tori above 18 vertices are slow for the oracle."""
+    params = []
     for cid, _name, _level, check in verify.CRITERIA:
         if getattr(check, "func", None) is not verify._pinned:
             continue
@@ -542,31 +542,53 @@ def _pinned_censuses():
                     hist.update(h)
             else:
                 total, hist = want
-            implied.setdefault(torus, {})[cid] = total, dict(hist)
-    return [pytest.param(torus, pins, id="+".join(pins) + f"-{torus}",
-                         marks=([pytest.mark.slow]
-                                if parse_descriptor(torus).n > 18 else []))
-            for torus, pins in implied.items()]
+            slow = parse_descriptor(torus).n > 18
+            params.append(pytest.param(
+                torus, total, dict(hist), id=f"{cid}-{torus}",
+                marks=[pytest.mark.slow] if slow else []))
+    return params
 
 
-@pytest.mark.parametrize("torus,pins", _pinned_censuses())
-def test_pinned_census_against_transfer_matrix(torus, pins):
-    # every published count the criteria pin, C4's big T(6,9) one
-    # included, via the independent transfer-matrix oracle, run once per
-    # torus after the criteria that pin it are found to agree; on small
-    # tori the pinned total and the DFS's count are also each 1/24 of the
-    # brute-force labeled count, as the pinned face counts each orbit of
-    # the 24 color permutations once
-    (total, histogram), *others = pins.values()
-    assert all(other == (total, histogram) for other in others), pins
+def test_pinned_censuses_agree_per_torus():
+    # every criterion that pins a torus implies the same total and
+    # |degree| histogram for it, so the oracle below checks them all
+    implied = {}
+    for param in _pinned_censuses():
+        torus, *want = param.values
+        implied.setdefault(torus, {})[param.id] = tuple(want)
+    assert len(implied) < len(_pinned_censuses())
+    for torus, pins in implied.items():
+        first, *others = pins.values()
+        assert all(other == first for other in others), (torus, pins)
+
+
+@functools.cache
+def _oracle_counts(torus):
+    """The transfer-matrix census of `torus` and, up to 18 vertices, its
+    brute-force labeled count and the DFS's orbit count, computed once
+    for every criterion that pins the torus."""
     tri = parse_descriptor(torus)
     census = canonical_abs_census(tri.r, tri.s, tri.t)
+    if tri.n > 18:
+        return census, None, None
+    return (census, brute_force_count(tri, 4),
+            enumerate_colorings(tri, 4).total)
+
+
+@pytest.mark.parametrize("torus,total,histogram", _pinned_censuses())
+def test_pinned_census_against_transfer_matrix(torus, total, histogram):
+    # every published count the criteria pin, C4's big T(6,9) one
+    # included, via the independent transfer-matrix oracle, run once per
+    # torus however many criteria pin it; on small tori the pinned total
+    # and the DFS's count are also each 1/24 of the brute-force labeled
+    # count, as the pinned face counts each orbit of the 24 color
+    # permutations once
+    census, labeled, orbits = _oracle_counts(torus)
     assert census == histogram
     assert sum(census.values()) == total
-    if tri.n <= 18:
-        labeled = brute_force_count(tri, 4)
+    if labeled is not None:
         assert total * 24 == labeled
-        assert enumerate_colorings(tri, 4).total * 24 == labeled
+        assert orbits * 24 == labeled
 
 
 def test_t69_enumeration_full():
