@@ -31,7 +31,11 @@ over the Kempe graph on canonical states, with one engine for every q:
 each class's members form its FIFO queue.  A state is
 keyed by its color masks (bit v is vertex v) in first-appearance order,
 so a Kempe change is two mask xors and a re-sort; its components come
-from `kempe.components`, the library's one Kempe component search.
+from `kempe.components`, the library's one Kempe component search.  A
+change on colors a, b keeps the region colored a or b, so states that
+share a color partition ask for the same regions: the engine memoises
+each region's components, only those whose swaps give distinct
+neighbours, and the search drops that memo at each new BFS level.
 Every state is held in memory, once: the enumerated map from key to
 |degree| is also the visited table.
 """
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
@@ -301,7 +304,10 @@ class PackedKempe:
     """Mask-based Kempe-move engine for q colors on a fixed triangulation.
 
     A state is a key over color masks, bit v being vertex v; the last
-    color's mask is the complement (see `canonical_packed`).
+    color's mask is the complement (see `canonical_packed`).  `flips`
+    maps a two-color region to the components whose swaps give distinct
+    neighbours; `neighbor_keys` only adds to it, and `_bfs_class_stats`
+    empties it at each BFS level.
     """
 
     def __init__(self, tri: Triangulation, q: int):
@@ -315,6 +321,7 @@ class PackedKempe:
         self._shifts = tuple(k * n for k in range(m - 1))
         self._pairs = tuple(itertools.combinations(range(m), 2))
         self._digits = tuple(color_digits(k) for k in range(1, m + 1))
+        self.flips: dict[int, tuple[int, ...]] = {}
 
     def label_masks(self, colors) -> list[int]:
         """The masks of colors 1..min(q, n + 1), in label order, of a color
@@ -341,15 +348,25 @@ class PackedKempe:
 
         Swapping a component that covers the whole two-color subgraph is
         a global color permutation, hence canonically trivial; skipped.
+        Of a region's two components, either swap gives the other's state
+        with a and b exchanged everywhere, so only the first is swapped.
+        A swap keeps the pair's region, so the states that share a color
+        partition ask for the same regions: their components are looked
+        up in `flips`, keyed by the region, and searched on a miss.
         """
         masks = self.color_masks(key)
         n = self.n
+        flips = self.flips
         out = []
         for a, b in self._pairs:
             ma, mb = masks[a], masks[b]
-            comps = components(self.tri, ma | mb)
-            if len(comps) <= 1:
-                continue
+            region = ma | mb
+            comps = flips.get(region)
+            if comps is None:
+                comps = components(self.tri, region)
+                # one component is the whole region; of two, the first
+                flips[region] = comps = tuple(
+                    comps if len(comps) > 2 else comps[:-1])
             for comp in comps:
                 masks[a] = ma ^ comp
                 masks[b] = mb ^ comp
@@ -417,6 +434,10 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     task = functools.partial(_enum_task, (tri.r, tri.s, tri.t), q,
                              budget_nodes, collect, threads)
     if threads > 1:
+        # imported here: a one-thread run never starts a pool, and the
+        # import alone costs about 0.4 MB of RSS
+        import multiprocessing
+
         # map re-raises a worker's error only once every part has
         # returned, so the pool is never torn down under a running worker
         with multiprocessing.Pool(min(threads, os.cpu_count() or 1)) as pool:
@@ -472,12 +493,21 @@ def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     which the search reads in order as it grows, a FIFO queue; callers
     share `degs` across classes.  A Kempe move to a state missing from
     `degs` is a bug.
+
+    The engine's region memo, `engine.flips`, is replaced with an empty
+    dict as the queue enters each BFS level, so it holds one level's
+    regions: on T(9,3,3), 77 % of the repeated regions come back within
+    their level and the rest in the next one.
     """
     dhist = {degs[seed]: 1}
     degs[seed] = None
     members = [seed]
+    end = 0  # where the level being expanded ends in `members`
     try:
-        for state in members:
+        for i, state in enumerate(members):
+            if i == end:
+                engine.flips = {}
+                end = len(members)
             for k in engine.neighbor_keys(state):
                 d = degs[k]
                 if d is not None:

@@ -2,10 +2,13 @@ import collections
 import functools
 import gc
 import itertools
+import multiprocessing
 import os
 import pathlib
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
@@ -197,7 +200,8 @@ def in_process_pool(monkeypatch):
             seen.tasks.append(fn)
             return list(map(fn, items))
 
-    monkeypatch.setattr(statespace.multiprocessing, "Pool", InProcessPool)
+    # the module object that enumerate_colorings imports when it pools
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     return seen
 
 
@@ -345,6 +349,70 @@ def test_packed_engine_neighbors_match_generic_path():
                                                  tri.n))
             key = canonical_packed(eng.label_masks(c.colors), tri.n)
             assert set(eng.neighbor_keys(key)) == ref, (r, s, t, q)
+
+
+def test_a_pair_of_two_components_gives_one_key():
+    # swapping either of two components gives the same partition with the
+    # pair's colors exchanged, so the same canonical key
+    rng = random.Random(41)
+    for rst in ((6, 4, 1), (9, 3, 3)):
+        tri = build(*rst)
+        eng = PackedKempe(tri, 4)
+        twos = 0
+        for _ in range(8):
+            c = random_proper_coloring(tri, 4, rng)
+            key = canonical_packed(eng.label_masks(c.colors), tri.n)
+            masks = eng.color_masks(key)
+            want = []
+            for a, b in itertools.combinations(range(4), 2):
+                keys = []
+                for comp in components(tri, masks[a] | masks[b]):
+                    swapped = list(masks)
+                    swapped[a] ^= comp
+                    swapped[b] ^= comp
+                    keys.append(canonical_packed(swapped, tri.n))
+                if len(keys) == 2:
+                    assert keys[0] == keys[1], (rst, c.colors, a, b)
+                    twos += 1
+                    keys = keys[:1]
+                elif len(keys) == 1:  # the whole region: a global swap
+                    keys = []
+                want += keys
+            assert eng.neighbor_keys(key) == want, (rst, c.colors)
+        assert twos > 0, rst
+
+
+def test_region_memo_holds_no_stale_components():
+    # a warm engine has seen the regions of the state's neighbours, which
+    # share two of its color classes, so a memo keyed by less than the
+    # whole region hands back another region's components
+    rng = random.Random(43)
+    tested = 0
+    for tri, q in itertools.product(SMALL_TORI, (4, 5)):
+        if enumerate_colorings(tri, q).total == 0:
+            continue
+        tested += 1
+        warm = PackedKempe(tri, q)
+        for _ in range(3):
+            c = random_proper_coloring(tri, q, rng)
+            key = canonical_packed(warm.label_masks(c.colors), tri.n)
+            want = PackedKempe(tri, q).neighbor_keys(key)
+            for k in want:
+                warm.neighbor_keys(k)
+            assert warm.neighbor_keys(key) == want, (tri.descriptor(), q)
+    assert tested == 146  # of 97 tori at each q
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    # only a run with threads > 1 imports multiprocessing
+    src = os.path.dirname(os.path.dirname(statespace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kempetorus; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_kempe_components_match_oracle_flood():
