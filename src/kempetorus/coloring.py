@@ -73,7 +73,7 @@ def is_proper(tri: Triangulation, c: Coloring) -> bool:
     col = c.colors
     # every edge once, bytewise: a vertex's color xor its E, N or NE
     # neighbour's is a zero byte exactly on a monochromatic edge
-    ends = bytearray(tri.forward_gather(col))
+    ends = tri.shift(col, 0) + tri.shift(col, 2) + tri.shift(col, 4)
     diff = int.from_bytes(col * 3, "little") ^ int.from_bytes(ends, "little")
     return not diff.to_bytes(len(ends), "little").count(0)
 

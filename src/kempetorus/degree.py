@@ -83,12 +83,15 @@ def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
                          f"vertices of {tri.descriptor()}")
     if min(colors) < 0 or max(colors) > 4:
         raise ValueError("face colors must lie in 0..4 (0 = uncolored)")
-    # colors are below 5, so each face's (a*5 + b)*5 + c fits in its own
-    # byte and the whole sum carries nothing between faces
-    m = len(tri.faces)
-    corners = bytearray(tri.corner_gather(colors))
-    a, b, c = (int.from_bytes(corners[k * m:(k + 1) * m], "little")
-               for k in range(3))
+    # v's up face is (v, NE, E) and its down face (v, N, NE): the first n
+    # bytes of a, b, c are the up faces' corners, the last n the down
+    # faces'.  Colors are below 5, so each face's (a*5 + b)*5 + c fits in
+    # its own byte and the whole sum carries nothing between faces
+    colors = bytes(colors)
+    north, north_east = tri.shift(colors, 2), tri.shift(colors, 4)
+    a, b, c = (int.from_bytes(corners, "little") for corners in (
+        colors * 2, north_east + north, tri.shift(colors, 0) + north_east))
+    m = 2 * tri.n
     codes = ((a * 5 + b) * 5 + c).to_bytes(m, "little").translate(signs)
     return codes.count(1), codes.count(2)
 

@@ -16,14 +16,16 @@ global orientation:
 
 Face 2v is vertex v's up triangle and face 2v+1 its down triangle.  Edge
 d*n + v joins v to its east (d = 0), north (d = 1) or north-east (d = 2)
-neighbour, the order in which `forward_gather` reads them.
+neighbour.  `shift` reads the color of every vertex's neighbour in one
+direction at once, by slicing whole rows, so that properness, degree and
+the corners of a set of faces are byte operations with no loop over the
+vertices.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from operator import itemgetter
 
 # direction order: E, W, N, S, NE, SW
 DISPLACEMENTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
@@ -40,9 +42,7 @@ class Triangulation:
         "r", "s", "t", "n",
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
         "_neighbor_masks",  # None until `neighbor_masks` is first read
-        "forward_gather",   # colors -> E, then N, then NE neighbour of every vertex
         "faces",            # list of vertex triples, clockwise boundary order
-        "corner_gather",    # colors -> 1st, then 2nd, then 3rd corner of every face
         "edges",            # edge d*n + v: v to its E, N, NE neighbour, as
                             # (u, w, apex1, apex2) with u < w
         "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
@@ -66,13 +66,8 @@ class Triangulation:
                     f"T({r},{s},{t}) is not a simple 6-regular triangulation")
         self.neighbors = nbrs
         self._neighbor_masks = None
-        # E, N and NE meet every edge once; n >= 7, so a gather is a tuple
-        self.forward_gather = itemgetter(
-            *(row[d] for d in (0, 2, 4) for row in nbrs))
         self.faces = [f for v, (e, _, no, _, ne, _) in enumerate(nbrs)
                       for f in ((v, ne, e), (v, no, ne))]
-        self.corner_gather = itemgetter(
-            *(f[k] for k in range(3) for f in self.faces))
         # an E, N or NE edge of v is flanked by apexes (NE, S), (NE, W)
         # or (E, N), the third corners of its two faces
         self.edges = [(min(v, row[d]), max(v, row[d]), row[a1], row[a2])
@@ -101,6 +96,44 @@ class Triangulation:
                 1 << v: sum(1 << w for w in row)
                 for v, row in enumerate(self.neighbors)}
         return masks
+
+    def shift(self, colors, d: int) -> bytes:
+        """Byte v is the color of v's neighbour in direction d.
+
+        d follows the `DISPLACEMENTS` order; `colors` holds one byte per
+        vertex.  Whole rows are read by slicing: E and W turn every row
+        by one, N and S move the rows by one and turn the row that wraps
+        round by the twist, and NE and SW are N then E and S then W.
+        """
+        if d >= 4:
+            return self.shift(self.shift(colors, d - 2), d - 4)
+        r, n, t = self.r, self.n, self.t
+        if d == 0:
+            out = bytearray(colors[1:] + colors[:1])
+            out[r - 1::r] = colors[::r]  # the last column wraps to the first
+        elif d == 1:
+            out = bytearray(colors[-1:] + colors[:-1])
+            out[::r] = colors[r - 1::r]
+        elif d == 2:
+            # the north neighbour of (x, s) is (x + t, 1)
+            out = colors[r:] + colors[t:r] + colors[:t]
+        else:
+            out = colors[n - t:] + colors[n - r:n - t] + colors[:n - r]
+        return bytes(out)
+
+    def face_corners(self, up, down) -> bytes:
+        """Byte v is the OR of the bytes of the faces with corner v.
+
+        `up` and `down` hold one byte per vertex, for its up and its down
+        face.  v is a corner of the up faces of v, W(v) and SW(v) and of
+        the down faces of v, S(v) and SW(v).
+        """
+        shift = self.shift
+        out = 0
+        for part in (up, shift(up, 1), shift(up, 5),
+                     down, shift(down, 3), shift(down, 5)):
+            out |= int.from_bytes(part, "little")
+        return out.to_bytes(self.n, "little")
 
     def _wrap(self, x: int, y: int) -> int:
         # a vertical wrap shifts x by +-t; only +-1 row steps occur here

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, check_torus, is_proper
 from .degree import degree
-from .kempe import KempeMove, kempe_components, swap
+from .kempe import KempeMove, color_digits, kempe_components, swap
 from .lattice import DISPLACEMENTS, Triangulation
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -47,13 +47,23 @@ class NsCycle:
 
 
 def classify_edges(tri: Triangulation, c: Coloring) -> dict:
-    """Bucket the non-singular edges by color pair: {(i, j): ascending ids}."""
+    """Bucket the non-singular edges by color pair: {(i, j): ascending ids}.
+
+    A color outside 1..4 or a monochromatic edge raises ValueError.
+    """
     check_torus(tri, c)
-    buckets: dict[tuple[int, int], list[int]] = {p: [] for p in PAIRS}
     col = c.colors
+    # deleting every allowed byte leaves nothing iff all colors are in range
+    if col.translate(None, b"\1\2\3\4"):
+        raise ValueError("edge classification expects colors 1..4")
+    buckets: dict[tuple[int, int], list[int]] = {p: [] for p in PAIRS}
     for eid, (u, v, z, w) in enumerate(tri.edges):
+        a = col[u]
+        if a == col[v]:
+            raise ValueError(f"edge {eid} joins two vertices colored {a}: "
+                             "the coloring is not proper")
         if col[z] != col[w]:
-            a, b = col[u], col[v]
+            b = col[v]
             buckets[(a, b) if a < b else (b, a)].append(eid)
     return buckets
 
@@ -124,25 +134,51 @@ def algcr(h1, h2) -> int:
     return a * d - b * cc
 
 
-def _face_components(tri: Triangulation, cut_edges: set) -> list[list[int]]:
-    """Components of the face-adjacency graph after cutting along edges."""
-    seen = [False] * len(tri.faces)
-    comps = []
-    for f0 in range(len(tri.faces)):
-        if seen[f0]:
-            continue
-        comp = []
-        stack = [f0]
-        seen[f0] = True
+def _face_components(tri: Triangulation, cycles) -> bytearray:
+    """Label every face 1 or 2 by its side of the cut along `cycles`.
+
+    The sides are the components of the face-adjacency graph without the
+    cycles' edges, side 1 holding face 0; a cut that leaves one region,
+    or a third, is a bug.
+    """
+    cut = {e for cy in cycles for e in cy.edges}
+    adjacency = tri.face_adjacency
+    labels = bytearray(len(tri.faces))
+    start = 0
+    for label in (1, 2):
+        labels[start] = label
+        stack = [start]
         while stack:
-            f = stack.pop()
-            comp.append(f)
-            for g, eid in tri.face_adjacency[f]:
-                if eid not in cut_edges and not seen[g]:
-                    seen[g] = True
+            for g, eid in adjacency[stack.pop()]:
+                if not labels[g] and eid not in cut:
+                    labels[g] = label
                     stack.append(g)
-        comps.append(comp)
-    return comps
+        start = labels.find(0)
+        if start < 0:
+            break
+    if start >= 0 or label == 1:
+        raise AssertionError(
+            f"{len(cycles)} N_ij cycle(s) split faces into "
+            f"{'more than 2' if start >= 0 else 1} regions: bug")
+    return labels
+
+
+def _sides(tri: Triangulation, cycles) -> list[tuple[int, int, int, int]]:
+    """(-chi, faces, least face, interior vertex mask) of both sides of
+    the cut along `cycles`, side 1 (the one holding face 0) first."""
+    labels = _face_components(tri, cycles)
+    # bit k - 1 of byte v is set when v is a corner of a face on side k:
+    # 3 on the cut (every boundary vertex and edge lies on both sides)
+    corners = tri.face_corners(labels[::2], labels[1::2])
+    boundary = sum(len(cy.vertices) for cy in cycles)
+    sides = []
+    for k in (1, 2):
+        faces = labels.count(k)
+        chi = corners.count(k) + (boundary - faces) // 2
+        # vertex 0 is the least significant digit
+        interior = int(corners[::-1].translate(color_digits(k)), 2)
+        sides.append((-chi, faces, labels.find(k), interior))
+    return sides
 
 
 def _surgery(tri: Triangulation, c: Coloring, cycles
@@ -158,20 +194,7 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
     if len({cy.homotopy for cy in cycles}) != 1:
         raise AssertionError(
             "disjoint cycles of one N_ij with unequal homotopy types: bug")
-    cut = {e for cy in cycles for e in cy.edges}
-    boundary = sum(1 << v for v in {v for cy in cycles for v in cy.vertices})
-    comps = _face_components(tri, cut)
-    if len(comps) != 2:
-        raise AssertionError(
-            f"{len(cycles)} N_ij cycle(s) split faces into {len(comps)} "
-            "regions: bug")
-    sides = []
-    for faces in comps:
-        interior = ~boundary & sum(
-            1 << v for v in {v for f in faces for v in tri.faces[f]})
-        # every boundary vertex and edge lies on both sides
-        chi = interior.bit_count() + (boundary.bit_count() - len(faces)) // 2
-        sides.append((-chi, len(faces), min(faces), interior))
+    sides = _sides(tri, cycles)
     expected = [-1, 1] if len(cycles) == 1 else [0, 0]
     if sorted(side[0] for side in sides) != expected:
         raise AssertionError(
@@ -244,6 +267,8 @@ def check_ns_minimal_structure(tri: Triangulation, c: Coloring) -> dict:
     """
     if not tri.is_three_colorable():
         raise ValueError(f"{tri.descriptor()} is not three-colorable")
+    if c.q != 4:
+        raise ValueError("the structure check expects a 4-coloring")
     cycles = all_ns_cycles(tri, c)
     if all(not cs for cs in cycles.values()):
         return {"trivial": True}

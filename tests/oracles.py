@@ -4,9 +4,9 @@ Nothing here shares code paths with the library's enumeration, degree,
 or class machinery: colorings are enumerated by plain backtracking over
 the adjacency lists, Kempe components come from a set-based flood fill
 (over neighbour lists rebuilt from the torus coordinates when the
-lattice itself is under test), edges and face adjacency are read off the
-face triples alone, and the degree census comes from a row-transfer
-matrix evaluated at roots of unity.
+lattice itself is under test), edges, face adjacency and the regions of
+a cut are read off the face triples alone, and the degree census comes
+from a row-transfer matrix evaluated at roots of unity.
 """
 
 import itertools
@@ -64,6 +64,34 @@ def face_incidence(faces):
         for u, w, apex in ((a, b, c), (b, c, a), (c, a, b)):
             incidence.setdefault((min(u, w), max(u, w)), []).append((fid, apex))
     return incidence
+
+
+def cut_sides(faces, cut):
+    """Regions of the faces after cutting along the edges `cut`, given as
+    vertex pairs (u, w) with u < w: (face count, least face, vertex set)
+    of each, least face first, by flood fill over the face adjacency read
+    off the vertex triples alone."""
+    adjacent = [[] for _ in faces]
+    for key, ((f, _), (g, _)) in face_incidence(faces).items():
+        if key not in cut:
+            adjacent[f].append(g)
+            adjacent[g].append(f)
+    seen = set()
+    sides = []
+    for f0 in range(len(faces)):
+        if f0 in seen:
+            continue
+        region = {f0}
+        stack = [f0]
+        while stack:
+            for g in adjacent[stack.pop()]:
+                if g not in region:
+                    region.add(g)
+                    stack.append(g)
+        seen |= region
+        sides.append((len(region), f0,
+                      {v for f in region for v in faces[f]}))
+    return sides
 
 
 def has_three_coloring(tri):

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -62,12 +63,15 @@ def test_edges_in_exactly_two_faces_with_opposite_orientation():
 
 def test_edge_table_matches_face_incidence():
     # edge e leaves vertex e % n towards its E, N or NE neighbour (e // n =
-    # 0, 1, 2), as the forward gather reads them; endpoints, apexes and face
-    # adjacency agree with the edges read off the faces alone
+    # 0, 1, 2), whose id `shift` reads in two bytes (n reaches 729);
+    # endpoints, apexes and face adjacency agree with the edges read off
+    # the faces alone
     for tri in SMALL_TORI + LARGE_TORI:
         n = tri.n
         incidence = face_incidence(tri.faces)
-        forward = tri.forward_gather(range(n))
+        low, high = bytes(v & 255 for v in range(n)), bytes(v >> 8 for v in range(n))
+        forward = [lo | hi << 8 for d in (0, 2, 4)
+                   for lo, hi in zip(tri.shift(low, d), tri.shift(high, d))]
         ids = {}
         for e, (u, w, z, y) in enumerate(tri.edges):
             v = e % n
@@ -84,6 +88,25 @@ def test_edge_table_matches_face_incidence():
             expected[g].append((f, ids[key]))
         assert [sorted(adj) for adj in tri.face_adjacency] == \
             [sorted(adj) for adj in expected], tri
+
+
+def test_shift_and_face_corners_read_the_neighbours():
+    # one-row and twisted tori included: the wrap rows are where a
+    # row-slicing shift can go wrong
+    rng = random.Random(3)
+    for tri in SMALL_TORI + LARGE_TORI:
+        colors = bytes(rng.choices(range(256), k=tri.n))
+        for d in range(6):
+            got = tri.shift(colors, d)
+            assert got == bytes(colors[row[d]] for row in tri.neighbors), \
+                (tri, d)
+        # face 2v is v's up face and 2v + 1 its down face
+        up, down = colors, colors[::-1]
+        want = [0] * tri.n
+        for f, corners in enumerate(tri.faces):
+            for v in corners:
+                want[v] |= (down if f % 2 else up)[f // 2]
+        assert tri.face_corners(up, down) == bytes(want), tri
 
 
 def test_euler_characteristic_zero():

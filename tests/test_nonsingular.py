@@ -3,15 +3,20 @@ import random
 
 import pytest
 
+from kempetorus import nonsingular
 from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
                                  random_proper_coloring, three_coloring)
+from kempetorus.construct import construct_deg6_symmetric
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import kempe_change, wsk_step
 from kempetorus.lattice import NotSimpleError, build
-from kempetorus.nonsingular import (PAIRS, _cycle_homotopy, algcr,
-                                    all_ns_cycles, check_ns_minimal_structure,
-                                    classify_edges, ns_minimal_reduce)
+from kempetorus.nonsingular import (PAIRS, NsCycle, _cycle_homotopy, _sides,
+                                    _surgery, algcr, all_ns_cycles,
+                                    check_ns_minimal_structure, classify_edges,
+                                    ns_minimal_reduce)
+
+from oracles import cut_sides
 
 
 def as4(c):
@@ -224,3 +229,88 @@ def test_structure_homotopy_pattern_on_reduced_nonsingular():
                 continue
             disjoint = not (set(p1) & set(p2))
             assert (hom[p1] == hom[p2]) == disjoint
+
+
+def _reduce_with_side_checks(monkeypatch, tri, c):
+    """Reduce `c`, checking both sides of every surgery's cut against the
+    oracle's flood fill; returns the number of surgeries."""
+    seen = []
+
+    def checked(tri, cycles):
+        sides = _sides(tri, cycles)
+        cut = {tuple(sorted((cy.vertices[i - 1], v)))
+               for cy in cycles for i, v in enumerate(cy.vertices)}
+        boundary = {v for cy in cycles for v in cy.vertices}
+        want = cut_sides(tri.faces, cut)
+        assert len(want) == 2, want
+        for (neg_chi, faces, least, interior), (count, first, verts) in zip(
+                sides, want):
+            inside = verts - boundary
+            assert (faces, least) == (count, first)
+            assert interior == sum(1 << v for v in inside)
+            assert -neg_chi == len(inside) + (len(boundary) - count) // 2
+        seen.append(sides)
+        return sides
+
+    monkeypatch.setattr(nonsingular, "_sides", checked)
+    reduced, log = ns_minimal_reduce(tri, c)
+    assert apply_moves(tri, c, log).colors == reduced.colors
+    return len(seen)
+
+
+@pytest.mark.parametrize("rst", [(9, 9, 0), (12, 12, 0), (15, 15, 0),
+                                 (18, 18, 0), (12, 6, 3)])
+def test_surgery_sides_match_the_oracle_flood(monkeypatch, rst):
+    # seeded chains from the 3-coloring and, on T(3L,3L,0), the degree-6
+    # witness, so that cuts are disks and cylinders
+    tri = build(*rst)
+    starts = [as4(three_coloring(tri))]
+    if rst[0] == rst[1] and rst[2] == 0:
+        starts.append(construct_deg6_symmetric(rst[0] // 3)[0])
+    surgeries = 0
+    for start in starts:
+        for seed in range(3):
+            rng = random.Random(seed)
+            c = start
+            for _ in range(20):
+                c = wsk_step(tri, c, rng)
+            surgeries += _reduce_with_side_checks(monkeypatch, tri, c)
+    assert surgeries >= 3 * len(starts)
+
+
+def test_a_cut_into_more_than_two_regions_is_a_bug():
+    # cutting round two faces leaves three regions; cutting round every
+    # face leaves 1458, more than a byte can label
+    tri = build(27, 27, 0)
+    c = as4(three_coloring(tri))
+
+    def around(f):
+        return NsCycle((1, 2), tri.faces[f],
+                       tuple(eid for _, eid in tri.face_adjacency[f]), (0, 0))
+
+    for faces in ((0, 700), range(len(tri.faces))):
+        with pytest.raises(AssertionError,
+                           match="split faces into more than 2 regions"):
+            _surgery(tri, c, [around(f) for f in faces])
+
+
+def test_improper_or_five_color_input_raises_value_error():
+    tri = build(6, 6, 0)
+    ones = Coloring(tri, 4, bytes([1] * tri.n))
+    three = as4(three_coloring(tri))
+    clash = bytearray(three.colors)
+    clash[0] = clash[tri.neighbors[0][0]]
+    # a fifth color on one vertex of the 3-coloring keeps it proper and
+    # every edge at that vertex singular
+    five = bytearray(three.colors)
+    five[0] = 5
+    for c in (ones, three.with_colors(clash)):
+        for call in (classify_edges, check_ns_minimal_structure):
+            with pytest.raises(ValueError, match="not proper"):
+                call(tri, c)
+    with pytest.raises(ValueError, match="colors 1..4"):
+        classify_edges(tri, Coloring(tri, 5, bytes(five)))
+    for c in (Coloring(tri, 5, bytes(five)),
+              random_proper_coloring(tri, 5, random.Random(0))):
+        with pytest.raises(ValueError, match="expects a 4-coloring"):
+            check_ns_minimal_structure(tri, c)
