@@ -169,8 +169,12 @@ def cmd_degree(args):
 
 def cmd_reduce(args):
     c = load_grid(args.grid)
+    t0 = time.perf_counter()
     reduced, moves = ns_minimal_reduce(c.tri, c)
+    t1 = time.perf_counter()
     report = check_ns_minimal_structure(c.tri, reduced)
+    timings = {"reduce": round(t1 - t0, 3),
+               "structure": round(time.perf_counter() - t1, 3)}
     if "homotopy" in report:
         report = dict(report)
         report["homotopy"] = {f"{i}{j}": list(h) for (i, j), h
@@ -187,7 +191,8 @@ def cmd_reduce(args):
     }
     if args.grid_out:
         save_grid(reduced, args.grid_out)
-    _emit_report(args, "reduce", c.tri, payload)
+    _emit_report(args, "reduce", c.tri, payload,
+                 counters={"moves": len(moves)}, timings=timings)
     return 0
 
 

@@ -156,6 +156,10 @@ def coloring_from_rows(tri: Triangulation, rows, q: int = 4) -> Coloring:
     return Coloring(tri, q, _row_colors(rows, tri.r, tri.s, tri.t))
 
 
+def _no_coloring(tri: Triangulation, q: int) -> ValueError:
+    return ValueError(f"{tri.descriptor()} has no proper {q}-coloring")
+
+
 # randomized DFS has a heavy-tailed runtime; restarts cure it
 _RESTARTS = 1000
 
@@ -164,8 +168,10 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
     """Uniformly random-ish proper q-coloring via randomized backtracking.
 
     Not uniform over colorings; used for seeding dynamics and property
-    sweeps where only properness matters.  Raises BudgetExceeded when all
-    _RESTARTS restarts run out of their node budget.
+    sweeps where only properness matters.  When all _RESTARTS restarts
+    run out of their node budget, one exhaustive count within the same
+    budget tells the two outcomes apart: ValueError when the torus has
+    no proper q-coloring, BudgetExceeded when that is not settled.
     """
     if q < 4:
         raise ValueError("randomized search is only supported for q >= 4")
@@ -190,11 +196,17 @@ def random_proper_coloring(tri: Triangulation, q: int, rng) -> Coloring:
                 stack.pop()
                 i -= 1
                 if i < 0:  # the whole tree is exhausted within budget
-                    raise ValueError(
-                        f"{tri.descriptor()} has no proper {q}-coloring")
+                    raise _no_coloring(tri, q)
                 colors[i] = 0
         if i == n:
             return Coloring(tri, q, bytes(colors))
+    from .statespace import enumerate_colorings  # it imports this module
+    try:
+        total = enumerate_colorings(tri, q, budget_nodes=budget).total
+    except (BudgetExceeded, ValueError):  # too large, or too deep to recurse
+        total = None
+    if total == 0:
+        raise _no_coloring(tri, q)
     raise BudgetExceeded(f"{tri.descriptor()} random-start restarts",
                          _RESTARTS)
 

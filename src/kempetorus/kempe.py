@@ -42,7 +42,7 @@ def components(tri: Triangulation, region: int) -> list[int]:
         rest ^= todo
         while todo:
             bit = todo & -todo
-            new = nbrs[bit] & rest
+            new = nbrs[bit.bit_length() - 1] & rest
             rest ^= new
             todo ^= bit | new  # new lay in rest, so never in todo
         comps.append(before ^ rest)

@@ -42,6 +42,7 @@ class Triangulation:
         "r", "s", "t", "n",
         "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
         "_neighbor_masks",  # None until `neighbor_masks` is first read
+        "_incident_edges",  # None until `incident_edges` is first read
         "faces",            # list of vertex triples, clockwise boundary order
         "edges",            # edge d*n + v: v to its E, N, NE neighbour, as
                             # (u, w, apex1, apex2) with u < w
@@ -65,7 +66,7 @@ class Triangulation:
                 raise NotSimpleError(
                     f"T({r},{s},{t}) is not a simple 6-regular triangulation")
         self.neighbors = nbrs
-        self._neighbor_masks = None
+        self._neighbor_masks = self._incident_edges = None
         self.faces = [f for v, (e, _, no, _, ne, _) in enumerate(nbrs)
                       for f in ((v, ne, e), (v, no, ne))]
         # an E, N or NE edge of v is flanked by apexes (NE, S), (NE, W)
@@ -84,18 +85,33 @@ class Triangulation:
                         ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
 
     @property
-    def neighbor_masks(self) -> dict[int, int]:
-        """Vertex bit 1 << v -> mask of its six neighbours.
+    def neighbor_masks(self) -> list[int]:
+        """Mask of vertex v's six neighbours, at index v.
 
         n masks of n bits are quadratic in n, so they are built on the
         first read, by a Kempe component search, their one reader.
         """
         masks = self._neighbor_masks
         if masks is None:
-            masks = self._neighbor_masks = {
-                1 << v: sum(1 << w for w in row)
-                for v, row in enumerate(self.neighbors)}
+            masks = self._neighbor_masks = [sum(1 << w for w in row)
+                                            for row in self.neighbors]
         return masks
+
+    @property
+    def incident_edges(self) -> list[tuple[int, ...]]:
+        """Ids of the edges with vertex v as an end or an apex, at index v.
+
+        Recoloring v can change the class of these edges and no other;
+        built on the first read, by an NS-minimal reduction.
+        """
+        table = self._incident_edges
+        if table is None:
+            lists = [[] for _ in range(self.n)]
+            for eid, edge in enumerate(self.edges):
+                for v in edge:
+                    lists[v].append(eid)
+            table = self._incident_edges = [tuple(es) for es in lists]
+        return table
 
     def shift(self, colors, d: int) -> bytes:
         """Byte v is the color of v's neighbour in direction d.

@@ -1,12 +1,14 @@
 """Non-singular edge structure of 4-colorings.
 
 An edge xy with flanking triangles xyz and xyw is singular when z and w
-receive the same color and non-singular otherwise; classify_edges is the
-only code that applies this rule.  For each unordered color pair {i,j},
-the non-singular edges whose endpoints are colored i and j form N_ij, a
-disjoint union of cycles; every cycle has a homotopy type (a,b) on the
-torus (winding numbers along the periods (r,0) and (-t,s), read by
-Triangulation.winding) and is contractible iff (a,b) = (0,0).
+receive the same color and non-singular otherwise; _classify is the only
+code that applies this rule, to every edge for classify_edges and to the
+edges at the vertices a surgery recolors for ns_minimal_reduce.  For
+each unordered color pair {i,j}, the non-singular edges whose endpoints
+are colored i and j form N_ij, a disjoint union of cycles; every cycle
+has a homotopy type (a,b) on the torus (winding numbers along the
+periods (r,0) and (-t,s), read by Triangulation.winding) and is
+contractible iff (a,b) = (0,0).
 
 ns_minimal_reduce eliminates non-singular structure by one surgery: cut
 the faces along one contractible N_ij cycle, or along two disjoint
@@ -25,6 +27,7 @@ NS-minimal coloring).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .coloring import Coloring, check_torus, is_proper
 from .degree import degree
@@ -46,6 +49,23 @@ class NsCycle:
         return self.homotopy == (0, 0)
 
 
+def _classify(tri: Triangulation, col: bytes, edge_ids) -> dict:
+    """Color pair of each non-singular edge among `edge_ids`, in their
+    order: {id: (i, j)}.  A monochromatic edge raises ValueError."""
+    edges = tri.edges
+    pairs = {}
+    for eid in edge_ids:
+        u, v, z, w = edges[eid]
+        a = col[u]
+        if a == col[v]:
+            raise ValueError(f"edge {eid} joins two vertices colored {a}: "
+                             "the coloring is not proper")
+        if col[z] != col[w]:
+            b = col[v]
+            pairs[eid] = (a, b) if a < b else (b, a)
+    return pairs
+
+
 def classify_edges(tri: Triangulation, c: Coloring) -> dict:
     """Bucket the non-singular edges by color pair: {(i, j): ascending ids}.
 
@@ -57,14 +77,8 @@ def classify_edges(tri: Triangulation, c: Coloring) -> dict:
     if col.translate(None, b"\1\2\3\4"):
         raise ValueError("edge classification expects colors 1..4")
     buckets: dict[tuple[int, int], list[int]] = {p: [] for p in PAIRS}
-    for eid, (u, v, z, w) in enumerate(tri.edges):
-        a = col[u]
-        if a == col[v]:
-            raise ValueError(f"edge {eid} joins two vertices colored {a}: "
-                             "the coloring is not proper")
-        if col[z] != col[w]:
-            b = col[v]
-            buckets[(a, b) if a < b else (b, a)].append(eid)
+    for eid, pair in _classify(tri, col, range(len(tri.edges))).items():
+        buckets[pair].append(eid)
     return buckets
 
 
@@ -229,19 +243,21 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         raise ValueError("reduction expects a 4-coloring")
     if not is_proper(tri, c):
         raise ValueError("reduction expects a proper coloring")
+    # every edge is classified once; a surgery re-classifies the edges it
+    # can change, those with an end or apex among the recolored vertices,
+    # and the cycles of a pair are walked again only when its bucket changed
+    buckets = {pair: set(es) for pair, es in classify_edges(tri, c).items()}
+    ns = {eid: pair for pair, es in buckets.items() for eid in es}
+    walked: dict[tuple[int, int], list[NsCycle]] = {}
+    incident = tri.incident_edges
     log: list[KempeMove] = []
-    prev_ns = None
     for _ in range(len(tri.edges) + 1):
-        buckets = classify_edges(tri, c)
-        current = {e for es in buckets.values() for e in es}
-        if prev_ns is not None:
-            if not current < prev_ns:
-                raise AssertionError(
-                    "surgery failed to strictly shrink the non-singular set: bug")
-        prev_ns = current
         surgery = None
         for pair in PAIRS:
-            cycles = _cycles(tri, pair, buckets[pair])
+            cycles = walked.get(pair)
+            if cycles is None:
+                cycles = walked[pair] = _cycles(tri, pair,
+                                                sorted(buckets[pair]))
             contractible = [cy for cy in cycles if cy.contractible]
             if contractible:
                 surgery = contractible[:1]
@@ -251,8 +267,31 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
                 # keep scanning: a contractible cycle elsewhere takes priority
         if surgery is None:
             return c, log
-        c, moves = _surgery(tri, c, surgery)
+        after, moves = _surgery(tri, c, surgery)
         log.extend(moves)
+        # byte v of the xor is nonzero exactly where v was recolored
+        diff = (int.from_bytes(c.colors, "little")
+                ^ int.from_bytes(after.colors, "little"))
+        c = after
+        touched = set()
+        for v in compress(range(tri.n), diff.to_bytes(tri.n, "little")):
+            touched.update(incident[v])
+        before = {eid: ns.pop(eid) for eid in touched if eid in ns}
+        now = _classify(tri, c.colors, touched)
+        # the edges not touched are unchanged, so N(f) shrinks strictly
+        # exactly when the touched ones do
+        if not now.keys() < before.keys():
+            raise AssertionError(
+                "surgery failed to strictly shrink the non-singular set: bug")
+        ns.update(now)
+        for eid, pair in before.items():
+            new = now.get(eid)
+            if new != pair:
+                buckets[pair].discard(eid)
+                walked.pop(pair, None)
+                if new is not None:
+                    buckets[new].add(eid)
+                    walked.pop(new, None)
     raise AssertionError("reduction exceeded the |E| surgery bound: bug")
 
 

@@ -269,6 +269,18 @@ def test_reduce_roundtrip(tmp_path, capsys):
                  "--log-out", str(tmp_path / "log.json")]) == 2
 
 
+def test_reduce_reports_phase_timings_and_moves(tmp_path, capsys):
+    src = tmp_path / "ns.grid"
+    save_grid(load_fixture("t66_ns"), src)
+    code, out = run(capsys, "reduce", "--grid", str(src))
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep["timings"]) == ["reduce", "structure"]
+    assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
+    assert rep["counters"] == {"moves": len(rep["payload"]["moves"])}
+    assert rep["counters"]["moves"] > 0
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["enumerate"]) == 2            # missing --tri
     assert main(["degree", "--grid", "/nonexistent/x.grid"]) == 2
@@ -380,13 +392,22 @@ def test_wsk_out_of_random_restarts_exits_3(capsys, monkeypatch):
         def shuffle(self, x):
             pass
 
-    # unshuffled, every restart repeats one search that runs out of nodes
+    # unshuffled, every restart repeats one search that runs out of nodes,
+    # so a few restarts show what the full 1000 would
     monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=NoShuffle))
-    code = main(["wsk", "--tri", "T(5,2,1)", "--start", "random",
+    monkeypatch.setattr(kempetorus.coloring, "_RESTARTS", 3)
+    code = main(["wsk", "--tri", "T(9,6,0)", "--start", "random",
                  "--steps", "1"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: T(5,2,1) random-start restarts budget exceeded (limit 1000)"]
+        "error: T(9,6,0) random-start restarts budget exceeded (limit 3)"]
+    # T(5,2,1) has no proper 4-coloring: a usage error, whatever the
+    # size of its search tree
+    code = main(["wsk", "--tri", "T(5,2,1)", "--start", "random",
+                 "--steps", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: T(5,2,1) has no proper 4-coloring"]
 
 
 def test_report_out_file(tmp_path, capsys):

@@ -299,3 +299,17 @@ def test_random_proper_coloring_out_of_restarts_is_a_budget_error(
         "T(9,6,0) random-start restarts budget exceeded (limit 3)")
     assert (kempetorus.BudgetExceeded is BudgetExceeded
             and kempetorus.statespace.BudgetExceeded is BudgetExceeded)
+
+
+@pytest.mark.parametrize("rst,q", [((5, 3, 3), 4), ((7, 2, 4), 4),
+                                   ((13, 1, 5), 4), ((11, 1, 2), 5)])
+def test_random_proper_coloring_out_of_restarts_on_no_coloring(
+        monkeypatch, rst, q):
+    # these trees outgrow one restart's node budget, so no restart
+    # exhausts them; one count within that budget finds no coloring
+    monkeypatch.setattr(kempetorus.coloring, "_RESTARTS", 3)
+    tri = build(*rst)
+    with pytest.raises(ValueError,
+                       match=rf"^T\({rst[0]},{rst[1]},{rst[2]}\) has no "
+                             rf"proper {q}-coloring$"):
+        random_proper_coloring(tri, q, NoShuffle(0))

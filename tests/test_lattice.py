@@ -208,10 +208,26 @@ def test_construction_leaves_out_the_neighbor_masks():
 
 def test_neighbor_masks_are_built_by_the_first_kempe_search():
     tri = Triangulation(6, 4, 1)
-    assert tri._neighbor_masks is None
+    assert tri._neighbor_masks is None and tri._incident_edges is None
     assert components(tri, (1 << tri.n) - 1) == [(1 << tri.n) - 1]
-    assert tri._neighbor_masks == {
-        1 << v: sum(1 << w for w in row) for v, row in enumerate(tri.neighbors)}
+    assert tri._neighbor_masks == [
+        sum(1 << w for w in row) for row in tri.neighbors]
+    assert tri._incident_edges is None
+
+
+def test_incident_edges_are_the_edges_at_each_vertex():
+    for shape in SMALL_TORI + LARGE_TORI:
+        tri = Triangulation(shape.r, shape.s, shape.t)
+        assert tri._incident_edges is None
+        want = [set() for _ in range(tri.n)]
+        for eid, edge in enumerate(tri.edges):
+            for v in edge:
+                want[v].add(eid)
+        # v ends its six edges and is the apex of the six edges opposite
+        # it in its six faces
+        assert all(len(es) == 12 for es in want), tri
+        assert [sorted(es) for es in tri.incident_edges] == \
+            [sorted(es) for es in want], tri
 
 
 def test_parse_descriptor():

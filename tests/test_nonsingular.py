@@ -11,8 +11,8 @@ from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
 from kempetorus.kempe import kempe_change, wsk_step
 from kempetorus.lattice import NotSimpleError, build
-from kempetorus.nonsingular import (PAIRS, NsCycle, _cycle_homotopy, _sides,
-                                    _surgery, algcr, all_ns_cycles,
+from kempetorus.nonsingular import (PAIRS, NsCycle, _cycle_homotopy, _cycles,
+                                    _sides, _surgery, algcr, all_ns_cycles,
                                     check_ns_minimal_structure, classify_edges,
                                     ns_minimal_reduce)
 
@@ -258,24 +258,78 @@ def _reduce_with_side_checks(monkeypatch, tri, c):
     return len(seen)
 
 
-@pytest.mark.parametrize("rst", [(9, 9, 0), (12, 12, 0), (15, 15, 0),
-                                 (18, 18, 0), (12, 6, 3)])
-def test_surgery_sides_match_the_oracle_flood(monkeypatch, rst):
-    # seeded chains from the 3-coloring and, on T(3L,3L,0), the degree-6
-    # witness, so that cuts are disks and cylinders
-    tri = build(*rst)
+def _seeded_chain_ends(tri):
+    """Ends of seeded 20-step WSK chains from the 3-coloring and, on
+    T(3L,3L,0), the degree-6 witness, so that cuts are disks and
+    cylinders."""
     starts = [as4(three_coloring(tri))]
-    if rst[0] == rst[1] and rst[2] == 0:
-        starts.append(construct_deg6_symmetric(rst[0] // 3)[0])
-    surgeries = 0
+    if tri.r == tri.s and tri.t == 0:
+        starts.append(construct_deg6_symmetric(tri.r // 3)[0])
+    ends = []
     for start in starts:
         for seed in range(3):
             rng = random.Random(seed)
             c = start
             for _ in range(20):
                 c = wsk_step(tri, c, rng)
-            surgeries += _reduce_with_side_checks(monkeypatch, tri, c)
-    assert surgeries >= 3 * len(starts)
+            ends.append(c)
+    return ends
+
+
+CUT_TORI = [(9, 9, 0), (12, 12, 0), (15, 15, 0), (18, 18, 0), (12, 6, 3)]
+
+
+@pytest.mark.parametrize("rst", CUT_TORI)
+def test_surgery_sides_match_the_oracle_flood(monkeypatch, rst):
+    tri = build(*rst)
+    ends = _seeded_chain_ends(tri)
+    surgeries = sum(_reduce_with_side_checks(monkeypatch, tri, c)
+                    for c in ends)
+    assert surgeries >= len(ends)
+
+
+@pytest.mark.parametrize("rst", CUT_TORI + [(27, 27, 0)])
+def test_walked_buckets_match_a_full_classification(monkeypatch, rst):
+    # a surgery re-classifies only the edges it touches, and the cycles of
+    # a pair are walked again only when its bucket changed; every bucket
+    # walked must still be the full classification of the current coloring
+    tri = build(*rst)
+    current = []
+    last_walk = {}
+
+    def checked_surgery(tri, c, cycles):
+        assert c.colors == current[-1].colors
+        pair = cycles[0].pair
+        fresh = _cycles(tri, pair, classify_edges(tri, c)[pair])
+        assert all(cy in fresh for cy in cycles)
+        after, moves = _surgery(tri, c, cycles)
+        current.append(after)
+        return after, moves
+
+    def checked_cycles(tri, pair, edge_ids):
+        assert edge_ids == classify_edges(tri, current[-1])[pair]
+        assert last_walk.get(pair) != edge_ids, f"{pair} walked unchanged"
+        last_walk[pair] = edge_ids
+        return _cycles(tri, pair, edge_ids)
+
+    monkeypatch.setattr(nonsingular, "_surgery", checked_surgery)
+    monkeypatch.setattr(nonsingular, "_cycles", checked_cycles)
+    surgeries = 0
+    for c in _seeded_chain_ends(tri):
+        current[:] = [c]
+        last_walk.clear()
+        reduced, _ = ns_minimal_reduce(tri, c)
+        assert reduced.colors == current[-1].colors
+        surgeries += len(current) - 1
+    assert surgeries >= 3
+
+
+def test_a_surgery_that_recolors_nothing_fails_to_shrink(monkeypatch):
+    c = load_fixture("t66_ns")
+    monkeypatch.setattr(nonsingular, "_surgery",
+                        lambda tri, c, cycles: (c, []))
+    with pytest.raises(AssertionError, match="failed to strictly shrink"):
+        ns_minimal_reduce(c.tri, c)
 
 
 def test_a_cut_into_more_than_two_regions_is_a_bug():
