@@ -88,7 +88,8 @@ def cmd_classes(args):
     }
     _emit_report(args, "classes", tri, payload,
                  counters={"nodes": dec.nodes, "states": dec.total,
-                           "classes": dec.num_classes})
+                           "classes": dec.num_classes, "keys": dec.keys},
+                 timings={k: round(t, 3) for k, t in dec.timings.items()})
     return 0
 
 

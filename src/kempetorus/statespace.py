@@ -13,11 +13,10 @@ every degree is 0.  On a torus of more than three rows, rows 2..s-1 are
 searched once per coloring of the row below (and for q > 4 per number
 of colors used) and read from a table on later visits, each visit
 adding the nodes of the first search, so node counts and budgets are
-those of the full vertex-by-vertex tree.  The middle rows are
-translates of each other and share one table.  With `collect` every
-stored row is replayed down to the leaves; count-only, each of these
-rows returns the signed-degree histogram of its whole subtree, found
-once per coloring of the row below while the first row stands (a lazy
+those of the full vertex-by-vertex tree.  With `collect` every stored
+row is replayed down to the leaves; count-only, each of these rows
+returns the signed-degree histogram of its whole subtree, found once
+per coloring of the row below while the first row stands (a lazy
 transfer matrix), so T(6,9)'s 299 million colorings take a second.
 
 `_dfs` is the only backtracker, and each of the `threads` pool tasks
@@ -32,10 +31,10 @@ each class's members form its FIFO queue.  A state is
 keyed by its color masks (bit v is vertex v) in first-appearance order,
 so a Kempe change is two mask xors and a re-sort; its components come
 from `kempe.components`, the library's one Kempe component search.  A
-change on colors a, b keeps the region colored a or b, so states that
-share a color partition ask for the same regions: the engine memoises
-each region's components, only those whose swaps give distinct
-neighbours, and the search drops that memo at each new BFS level.
+change on colors a, b keeps every other color class; the states that
+share them, the pair's Kempe cube, differ by swaps of the region's
+components, and the engine expands each cube once, remembering those
+of the last two BFS levels, the only ones a later state can share.
 Every state is held in memory, once: the enumerated map from key to
 |degree| is also the visited table.
 """
@@ -46,6 +45,7 @@ import functools
 import itertools
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .coloring import BudgetExceeded, Coloring
@@ -60,16 +60,6 @@ class EnumerationResult:
     histogram: dict | None          # |degree| -> count, q = 4 only
     nodes: int                      # DFS assignments explored
     state_degrees: dict | None = None  # key -> |degree| (0 at q != 4)
-
-
-def _pins(tri: Triangulation) -> dict[int, int]:
-    """Vertex -> pinned color on the first face, the up triangle at (1,1).
-
-    Its corners are (1,1), (2,1) and (2,2); on a one-row torus (2,2)
-    wraps onto the single row, so it is not vertex r + 1.
-    """
-    v, ne, e = tri.faces[0]
-    return {v: 1, e: 2, ne: 3}
 
 
 def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
@@ -119,7 +109,10 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     if q == 4:  # the degree is a 4-coloring's; colors then stay below 5
         for f in tri.faces:
             faces_at[max(f)].append(f)
-    pinned = _pins(tri)
+    # the first face, the up triangle at (1,1), is pinned to 1, 2, 3; on a
+    # one-row torus its corner (2,2) wraps onto the row, not vertex r + 1
+    v, ne, e = tri.faces[0]
+    pinned = {v: 1, e: 2, ne: 3}
     sign = sign_table()
     nodes = arrivals = below = 0
     limit = budget if budget is not None else float("inf")
@@ -304,24 +297,23 @@ class PackedKempe:
     """Mask-based Kempe-move engine for q colors on a fixed triangulation.
 
     A state is a key over color masks, bit v being vertex v; the last
-    color's mask is the complement (see `canonical_packed`).  `flips`
-    maps a two-color region to the components whose swaps give distinct
-    neighbours; `neighbor_keys` only adds to it, and `_bfs_class_stats`
-    empties it at each BFS level.
+    color's mask is the complement (see `canonical_packed`).  `done` and
+    `last` hold the Kempe cubes `neighbor_keys` expanded in the current
+    BFS level and the one before, and `keys` counts the keys it returned.
     """
 
     def __init__(self, tri: Triangulation, q: int):
-        self.tri = tri
-        self.q = q
+        self.tri, self.q = tri, q
         n = self.n = tri.n
         self.full = (1 << n) - 1
         # no state uses more than n colors, so n + 1 of them keep one free
         # to swap into, and more would only add empty masks and pairs
         m = min(q, n + 1)
         self._shifts = tuple(k * n for k in range(m - 1))
-        self._pairs = tuple(itertools.combinations(range(m), 2))
+        self._pairs = tuple((*p, tuple(k for k in range(m) if k not in p))
+                            for p in itertools.combinations(range(m), 2))
         self._digits = tuple(color_digits(k) for k in range(1, m + 1))
-        self.flips: dict[int, tuple[int, ...]] = {}
+        self.done, self.last, self.keys = set(), set(), 0
 
     def label_masks(self, colors) -> list[int]:
         """The masks of colors 1..min(q, n + 1), in label order, of a color
@@ -344,34 +336,38 @@ class PackedKempe:
             for v in range(self.n)))
 
     def neighbor_keys(self, key: int) -> list[int]:
-        """Canonical keys reachable by one Kempe change.
+        """Canonical keys of the other members of this state's Kempe cubes
+        in neither `done` nor `last`, each then put in `done` if it has
+        more than this state.
 
-        Swapping a component that covers the whole two-color subgraph is
-        a global color permutation, hence canonically trivial; skipped.
-        Of a region's two components, either swap gives the other's state
-        with a and b exchanged everywhere, so only the first is swapped.
-        A swap keeps the pair's region, so the states that share a color
-        partition ask for the same regions: their components are looked
-        up in `flips`, keyed by the region, and searched on a miss.
+        The cube of colors a, b is every subset of the k components of
+        their region swapped: 2^(k-1) canonical states, as swapping all k
+        is a global color permutation, walked in Gray-code order over the
+        components after the first, one swap each.  It is named by the
+        masks outside the pair in key order, which all its members share.
         """
         masks = self.color_masks(key)
         n = self.n
-        flips = self.flips
+        done, last = self.done, self.last
         out = []
-        for a, b in self._pairs:
+        for a, b, others in self._pairs:
+            cube = 0
+            for k in others:
+                cube = cube << n | masks[k]
+            if cube in done or cube in last:
+                continue
             ma, mb = masks[a], masks[b]
-            region = ma | mb
-            comps = flips.get(region)
-            if comps is None:
-                comps = components(self.tri, region)
-                # one component is the whole region; of two, the first
-                flips[region] = comps = tuple(
-                    comps if len(comps) > 2 else comps[:-1])
-            for comp in comps:
-                masks[a] = ma ^ comp
-                masks[b] = mb ^ comp
+            comps = components(self.tri, ma | mb)
+            if len(comps) < 2:
+                continue
+            done.add(cube)
+            for i in range(1, 1 << len(comps) - 1):
+                comp = comps[(i & -i).bit_length()]
+                masks[a] ^= comp
+                masks[b] ^= comp
                 out.append(canonical_packed(masks, n))
             masks[a], masks[b] = ma, mb
+        self.keys += len(out)
         return out
 
 
@@ -379,10 +375,8 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
     """Enumerate one of `stripes` interleaved parts of the search tree of
     T(r,s,t), `rst` = (r, s, t), built here so a task pickles small.
 
-    With more than one stripe, this part searches row 0 and goes on
-    below every stripes-th coloring of it, from the stripe-th on (a
-    one-row torus has nothing below); only stripe 0 counts the nodes of
-    row 0 (see `_dfs`).
+    With more than one stripe, this part goes on below its own share of
+    the colorings of row 0 only, and counts their nodes (see `_dfs`).
     Returns (total, |degree| histogram, nodes, state degrees), folded from
     the search's signed-degree histogram; the state degrees are empty
     unless `collect`.
@@ -413,12 +407,10 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     in-process; with `threads` > 1 the tree is cut at the end of row 0
     (at the leaves on a one-row torus) into `threads` interleaved stripes
     of first rows, each searched by one task of a process pool of at
-    most `os.cpu_count()` workers.  A narrow torus has few first rows
-    (T(3,s,t) has 2 at q = 4), so it splits into few nonempty stripes.
-    Results, node count included, are independent of `threads`, and so
-    is whether `budget_nodes` is exceeded.  A torus of more than
-    `sys.getrecursionlimit()` - 100 vertices raises ValueError, as the
-    DFS recurses once per vertex.
+    most `os.cpu_count()` workers.  Results, node count included, are
+    independent of `threads`, and so is whether `budget_nodes` is
+    exceeded.  A torus of more than `sys.getrecursionlimit()` - 100
+    vertices raises ValueError, as the DFS recurses once per vertex.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -479,6 +471,8 @@ class ClassDecomposition:
     total: int
     classes: list
     nodes: int  # DFS assignments of the enumeration
+    keys: int = 0  # neighbour keys the class search generated
+    timings: dict = field(default_factory=dict)  # s: enumerate, search
 
     @property
     def num_classes(self) -> int:
@@ -494,19 +488,20 @@ def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     share `degs` across classes.  A Kempe move to a state missing from
     `degs` is a bug.
 
-    The engine's region memo, `engine.flips`, is replaced with an empty
-    dict as the queue enters each BFS level, so it holds one level's
-    regions: on T(9,3,3), 77 % of the repeated regions come back within
-    their level and the rest in the next one.
+    A Kempe cube expanded in one level has all its members by the next,
+    so only those two levels can meet it: each class starts with the
+    engine's `done` and `last` empty, and each level rotates `done` into
+    `last`.  They only spare work; a cube expanded again adds no member.
     """
     dhist = {degs[seed]: 1}
     degs[seed] = None
     members = [seed]
     end = 0  # where the level being expanded ends in `members`
+    engine.done = set()  # the seed's level rotates it into `last`
     try:
         for i, state in enumerate(members):
             if i == end:
-                engine.flips = {}
+                engine.last, engine.done = engine.done, set()
                 end = len(members)
             for k in engine.neighbor_keys(state):
                 d = degs[k]
@@ -534,12 +529,15 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     assignment, so it also caps the states held.
     """
     engine = PackedKempe(tri, q)
+    t0 = time.perf_counter()
     enum = enumerate_colorings(tri, q, budget_nodes=budget_nodes,
                                threads=threads, collect=True)
+    t1 = time.perf_counter()
     check_residue = q == 4 and tri.is_three_colorable()
     degs = enum.state_degrees
     found = [_bfs_class_stats(engine, seed, degs)
              for seed, d in degs.items() if d is not None]
+    timings = {"enumerate": t1 - t0, "search": time.perf_counter() - t1}
     classes = []
     # largest first, ties by least key: the order does not depend on the DFS
     for size, dhist, least in sorted(found, key=lambda f: (-f[0], f[2])):
@@ -556,4 +554,5 @@ def kempe_classes(tri: Triangulation, q: int = 4, *, budget_nodes=None,
     total = sum(c.size for c in classes)
     assert total == enum.total, \
         "class sizes do not sum to the enumeration total"
-    return ClassDecomposition(tri, q, total, classes, enum.nodes)
+    return ClassDecomposition(tri, q, total, classes, enum.nodes,
+                              engine.keys, timings)

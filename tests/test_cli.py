@@ -51,8 +51,10 @@ def test_classes_t33(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["payload"]["num_classes"] == 1
-    # the enumeration's DFS nodes, and every state in one class
-    assert rep["counters"] == {"nodes": nodes, "states": 10, "classes": 1}
+    # the enumeration's DFS nodes, every state in one class, and one key
+    # for each of the other nine
+    assert rep["counters"] == {"nodes": nodes, "states": 10, "classes": 1,
+                               "keys": 9}
     grid = rep["payload"]["classes"][0]["representative_grid"]
     assert grid.startswith("T 3 3 0 4\n")
     # the mod-12 degree is a 4-coloring invariant only
@@ -60,6 +62,17 @@ def test_classes_t33(capsys):
     assert code == 0
     assert [c["residue"] for c in json.loads(out)["payload"]["classes"]] \
         == [None]
+
+
+def test_classes_reports_phase_timings_and_keys(capsys):
+    code, out = run(capsys, "classes", "--tri", "T(6,4,1)")
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep["timings"]) == ["enumerate", "search"]
+    assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
+    # the class search generates each Kempe cube's members once
+    assert rep["counters"]["states"] == 3246
+    assert rep["counters"]["keys"] == 7297
 
 
 def test_classes_q10_grids_roundtrip(capsys):

@@ -329,78 +329,98 @@ def test_enumeration_rejects_bad_thread_counts():
             kempe_classes(build(3, 3, 0), 4, threads=threads)
 
 
-def test_packed_engine_neighbors_match_generic_path():
+def _cubes(tri, c):
+    """Each Kempe cube of coloring c with at least two components, by the
+    multiset of the label masks outside its pair: (region, the canonical
+    keys of the other states that kempe_change sequences reach over
+    subsets of the pair's kempe_components)."""
+    eng = PackedKempe(tri, c.q)
+    masks = eng.label_masks(c.colors)
+    cubes = {}
+    for a, b in itertools.combinations(range(1, len(masks) + 1), 2):
+        comps = kempe_components(tri, c, a, b)
+        cube = tuple(sorted(m for k, m in enumerate(masks, 1)
+                            if k not in (a, b)))
+        if len(comps) < 2 or cube in cubes:
+            continue
+        members = set()
+        # swapping all k components relabels a and b, giving c again
+        for size in range(1, len(comps)):
+            for subset in itertools.combinations(comps, size):
+                c2 = c
+                for comp in subset:
+                    c2 = kempe_change(tri, c2, KempeMove(a, b, comp))
+                members.add(canonical_packed(eng.label_masks(c2.colors),
+                                             tri.n))
+        cubes[cube] = sum(comps), members
+    return cubes
+
+
+def _key(tri, c):
+    return canonical_packed(PackedKempe(tri, c.q).label_masks(c.colors),
+                            tri.n)
+
+
+def test_neighbor_keys_are_every_other_member_of_each_cube():
     rng = random.Random(17)
     for (r, s, t), q in itertools.product(
             ((3, 3, 0), (6, 3, 0), (5, 4, 2), (6, 2, 2)), (4, 5)):
         tri = build(r, s, t)
-        eng = PackedKempe(tri, q)
         for _ in range(8):
             c = random_proper_coloring(tri, q, rng)
-            ref = set()
-            for a in range(1, q + 1):
-                for b in range(a + 1, q + 1):
-                    comps = kempe_components(tri, c, a, b)
-                    if len(comps) <= 1:
-                        continue
-                    for comp in comps:
-                        c2 = kempe_change(tri, c, KempeMove(a, b, comp))
-                        ref.add(canonical_packed(eng.label_masks(c2.colors),
-                                                 tri.n))
-            key = canonical_packed(eng.label_masks(c.colors), tri.n)
-            assert set(eng.neighbor_keys(key)) == ref, (r, s, t, q)
+            ref = set().union(*(ms for _, ms in _cubes(tri, c).values()))
+            got = PackedKempe(tri, q).neighbor_keys(_key(tri, c))
+            assert set(got) == ref, (r, s, t, q)
 
 
-def test_a_pair_of_two_components_gives_one_key():
-    # swapping either of two components gives the same partition with the
-    # pair's colors exchanged, so the same canonical key
+def test_neighbor_keys_list_each_cube_member_once():
+    # a cube of k components has 2^(k-1) canonical states, this one
+    # included; two pairs share a cube only when two classes are empty
     rng = random.Random(41)
-    for rst in ((6, 4, 1), (9, 3, 3)):
+    widest = 0
+    for rst, q in itertools.product(((6, 4, 1), (9, 3, 3)), (4, 5)):
         tri = build(*rst)
-        eng = PackedKempe(tri, 4)
-        twos = 0
         for _ in range(8):
-            c = random_proper_coloring(tri, 4, rng)
-            key = canonical_packed(eng.label_masks(c.colors), tri.n)
-            masks = eng.color_masks(key)
-            want = []
-            for a, b in itertools.combinations(range(4), 2):
-                keys = []
-                for comp in components(tri, masks[a] | masks[b]):
-                    swapped = list(masks)
-                    swapped[a] ^= comp
-                    swapped[b] ^= comp
-                    keys.append(canonical_packed(swapped, tri.n))
-                if len(keys) == 2:
-                    assert keys[0] == keys[1], (rst, c.colors, a, b)
-                    twos += 1
-                    keys = keys[:1]
-                elif len(keys) == 1:  # the whole region: a global swap
-                    keys = []
-                want += keys
-            assert eng.neighbor_keys(key) == want, (rst, c.colors)
-        assert twos > 0, rst
+            c = random_proper_coloring(tri, q, rng)
+            key = _key(tri, c)
+            got = PackedKempe(tri, q).neighbor_keys(key)
+            assert len(got) == len(set(got)) and key not in got, (rst, q)
+            sizes = [len(components(tri, region)) for region, _ in
+                     _cubes(tri, c).values()]
+            assert len(got) == sum(2 ** (k - 1) - 1 for k in sizes)
+            widest = max([widest] + sizes)
+    assert widest >= 3
 
 
-def test_region_memo_holds_no_stale_components():
-    # a warm engine has seen the regions of the state's neighbours, which
-    # share two of its color classes, so a memo keyed by less than the
-    # whole region hands back another region's components
+def test_a_warm_engine_skips_exactly_the_cubes_it_expanded():
+    # the other members of one of a state's cubes share that cube with
+    # it; for every other pair they share only the pair's region, the
+    # classes outside it split another way, so the state keeps that cube
     rng = random.Random(43)
-    tested = 0
+    tested = region_shared = 0
     for tri, q in itertools.product(SMALL_TORI, (4, 5)):
         if enumerate_colorings(tri, q).total == 0:
             continue
         tested += 1
-        warm = PackedKempe(tri, q)
         for _ in range(3):
             c = random_proper_coloring(tri, q, rng)
-            key = canonical_packed(warm.label_masks(c.colors), tri.n)
-            want = PackedKempe(tri, q).neighbor_keys(key)
-            for k in want:
-                warm.neighbor_keys(k)
-            assert warm.neighbor_keys(key) == want, (tri.descriptor(), q)
+            key = _key(tri, c)
+            cubes = _cubes(tri, c)
+            for _, members in cubes.values():
+                warm = PackedKempe(tri, q)
+                expanded = {}
+                for k in members:
+                    warm.neighbor_keys(k)
+                    expanded.update(_cubes(tri, warm.unpack(k)))
+                kept = [cube for cube in cubes if cube not in expanded]
+                want = sorted(m for cube in kept for m in cubes[cube][1])
+                assert sorted(warm.neighbor_keys(key)) == want, (
+                    tri.descriptor(), q)
+                regions = {region for region, _ in expanded.values()}
+                region_shared += sum(cubes[cube][0] in regions
+                                     for cube in kept)
     assert tested == 146  # of 97 tori at each q
+    assert region_shared > 0
 
 
 def test_importing_the_package_starts_no_pool_machinery():
@@ -510,16 +530,21 @@ def test_kempe_classes_match_brute_force_oracle():
 
 
 def test_class_search_expands_each_state_once(monkeypatch):
-    expanded = []
+    expanded, keys = [], []
     real = PackedKempe.neighbor_keys
 
     def counted(self, key):
         expanded.append(key)
-        return real(self, key)
+        out = real(self, key)
+        keys.append(len(out))
+        return out
 
     monkeypatch.setattr(PackedKempe, "neighbor_keys", counted)
-    kempe_classes(build(6, 4, 1), 4)
+    dec = kempe_classes(build(6, 4, 1), 4)
     assert len(expanded) == len(set(expanded)) == 3246
+    # each Kempe cube is expanded once, not one flip at a time from every
+    # member, which generates 31,208 keys
+    assert sum(keys) == dec.keys == 7297
     expanded.clear()
     dec = kempe_classes(build(3, 3, 0), 5)
     assert len(expanded) == len(set(expanded)) == dec.total
