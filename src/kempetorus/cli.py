@@ -98,11 +98,15 @@ def cmd_construct(args):
     if args.trace and not symmetric:
         raise ValueError("--trace is recorded for the symmetric witness "
                          "only; omit --M or set it to --L")
+    t0 = time.perf_counter()
     if symmetric:
         c, trace = construct_deg6_symmetric(args.L)
     else:
         c = construct_deg6(args.L, args.M)
+    t1 = time.perf_counter()
     rep = degree(c.tri, c)
+    timings = {"construct": round(t1 - t0, 3),
+               "degree": round(time.perf_counter() - t1, 3)}
     payload = {"triangulation": c.tri.descriptor(),
                "degree": rep.degree, "degree_abs": rep.degree_abs,
                "degree_mod12": rep.mod12, "grid": grid_text(c)}
@@ -112,7 +116,7 @@ def cmd_construct(args):
                             for e in trace]
     if args.grid_out:
         save_grid(c, args.grid_out)
-    _emit_report(args, "construct", c.tri, payload)
+    _emit_report(args, "construct", c.tri, payload, timings=timings)
     return 0
 
 
@@ -162,9 +166,13 @@ def cmd_wsk(args):
 
 
 def cmd_degree(args):
+    t0 = time.perf_counter()
     c = load_grid(args.grid)
+    t1 = time.perf_counter()
     rep = degree(c.tri, c)
-    _emit_report(args, "degree", c.tri, asdict(rep))
+    timings = {"load": round(t1 - t0, 3),
+               "degree": round(time.perf_counter() - t1, 3)}
+    _emit_report(args, "degree", c.tri, asdict(rep), timings=timings)
     return 0
 
 

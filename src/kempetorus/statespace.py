@@ -33,8 +33,11 @@ so a Kempe change is two mask xors and a re-sort; its components come
 from `kempe.components`, the library's one Kempe component search.  A
 change on colors a, b keeps every other color class; the states that
 share them, the pair's Kempe cube, differ by swaps of the region's
-components, and the engine expands each cube once, remembering those
-of the last two BFS levels, the only ones a later state can share.
+components.  When min(q, n + 1) = 4, as at q = 4, the other classes
+form a pair too, and the states that share both regions, the split's
+block, differ by swaps of either region's components; elsewhere a block
+is a cube.  The engine expands each block once, remembering those of
+the last two BFS levels, the only ones a later state can share.
 Every state is held in memory, once: the enumerated map from key to
 |degree| is also the visited table.
 """
@@ -298,8 +301,10 @@ class PackedKempe:
 
     A state is a key over color masks, bit v being vertex v; the last
     color's mask is the complement (see `canonical_packed`).  `done` and
-    `last` hold the Kempe cubes `neighbor_keys` expanded in the current
-    BFS level and the one before, and `keys` counts the keys it returned.
+    `last` hold the Kempe blocks `neighbor_keys` expanded in the current
+    BFS level and the one before: the splits into two color pairs when
+    min(q, n + 1) = 4, the pairs' cubes otherwise.  `keys` counts the
+    keys it returned.
     """
 
     def __init__(self, tri: Triangulation, q: int):
@@ -310,8 +315,11 @@ class PackedKempe:
         # to swap into, and more would only add empty masks and pairs
         m = min(q, n + 1)
         self._shifts = tuple(k * n for k in range(m - 1))
+        # at m = 4 a pair and the other two colors are one split: keep
+        # the three pairs with mask 0
         self._pairs = tuple((*p, tuple(k for k in range(m) if k not in p))
-                            for p in itertools.combinations(range(m), 2))
+                            for p in itertools.combinations(range(m), 2)
+                            if m != 4 or p[0] == 0)
         self._digits = tuple(color_digits(k) for k in range(1, m + 1))
         self.done, self.last, self.keys = set(), set(), 0
 
@@ -336,37 +344,53 @@ class PackedKempe:
             for v in range(self.n)))
 
     def neighbor_keys(self, key: int) -> list[int]:
-        """Canonical keys of the other members of this state's Kempe cubes
+        """Canonical keys of the other members of this state's Kempe blocks
         in neither `done` nor `last`, each then put in `done` if it has
         more than this state.
 
-        The cube of colors a, b is every subset of the k components of
-        their region swapped: 2^(k-1) canonical states, as swapping all k
-        is a global color permutation, walked in Gray-code order over the
-        components after the first, one swap each.  It is named by the
-        masks outside the pair in key order, which all its members share.
+        Away from m = min(q, n + 1) = 4 colors, a block is a pair's cube:
+        the states sharing every color class outside colors a, b, reached
+        by swapping any subset of the k components of their region, so
+        2^(k-1) canonical states, as swapping all k is a global color
+        permutation.  It is named by the masks outside the pair in key
+        order, which all its members share.  At m = 4 the colors outside
+        a pair are a pair too, so a block is a split: the states whose
+        regions of a, b and of the other two colors are the same two
+        vertex sets, 2^(k-1) * 2^(k'-1) canonical states for k and k'
+        components.  Mask 0 holds vertex 0, so the three pairs with mask
+        0 give the three splits, each named by the region without vertex 0.
+        A block is walked in Gray-code order over the components after
+        the first of each side, one swap each.
         """
         masks = self.color_masks(key)
-        n = self.n
+        saved = masks[:]
+        n, tri = self.n, self.tri
         done, last = self.done, self.last
         out = []
         for a, b, others in self._pairs:
-            cube = 0
-            for k in others:
-                cube = cube << n | masks[k]
-            if cube in done or cube in last:
+            split = len(others) == 2
+            if split:
+                c, d = others
+                name = masks[c] | masks[d]
+            else:
+                name = 0
+                for k in others:
+                    name = name << n | masks[k]
+            if name in done or name in last:
                 continue
-            ma, mb = masks[a], masks[b]
-            comps = components(self.tri, ma | mb)
-            if len(comps) < 2:
+            flips = [(comp, a, b)
+                     for comp in components(tri, masks[a] | masks[b])[1:]]
+            if split:
+                flips += [(comp, c, d) for comp in components(tri, name)[1:]]
+            if not flips:
                 continue
-            done.add(cube)
-            for i in range(1, 1 << len(comps) - 1):
-                comp = comps[(i & -i).bit_length()]
-                masks[a] ^= comp
-                masks[b] ^= comp
+            done.add(name)
+            for i in range(1, 1 << len(flips)):
+                comp, x, y = flips[(i & -i).bit_length() - 1]
+                masks[x] ^= comp
+                masks[y] ^= comp
                 out.append(canonical_packed(masks, n))
-            masks[a], masks[b] = ma, mb
+            masks[:] = saved
         self.keys += len(out)
         return out
 
@@ -488,10 +512,11 @@ def _bfs_class_stats(engine: PackedKempe, seed: int, degs: dict):
     share `degs` across classes.  A Kempe move to a state missing from
     `degs` is a bug.
 
-    A Kempe cube expanded in one level has all its members by the next,
-    so only those two levels can meet it: each class starts with the
-    engine's `done` and `last` empty, and each level rotates `done` into
-    `last`.  They only spare work; a cube expanded again adds no member.
+    A Kempe block (a split at q = 4, a cube otherwise) expanded in one
+    level has all its members by the next, so only those two levels can
+    meet it: each class starts with the engine's `done` and `last` empty,
+    and each level rotates `done` into `last`.  They only spare work; a
+    block expanded again adds no member.
     """
     dhist = {degs[seed]: 1}
     degs[seed] = None

@@ -72,7 +72,7 @@ def test_classes_reports_phase_timings_and_keys(capsys):
     assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
     # the class search generates each Kempe cube's members once
     assert rep["counters"]["states"] == 3246
-    assert rep["counters"]["keys"] == 7297
+    assert rep["counters"]["keys"] == 6984
 
 
 def test_classes_q10_grids_roundtrip(capsys):
@@ -106,7 +106,7 @@ def test_report_triangulation_is_not_a_parameter(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["triangulation"] == "T(6,6,0)"
-    assert rep["timings"] == {}
+    assert sorted(rep["timings"]) == ["construct", "degree"]
     for command in ("degree", "reduce"):
         code, out = run(capsys, command, "--grid", str(grid))
         assert code == 0, command
@@ -292,6 +292,26 @@ def test_reduce_reports_phase_timings_and_moves(tmp_path, capsys):
     assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
     assert rep["counters"] == {"moves": len(rep["payload"]["moves"])}
     assert rep["counters"]["moves"] > 0
+
+
+def test_construct_reports_phase_timings(capsys):
+    code, out = run(capsys, "construct", "--L", "3")
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep["timings"]) == ["construct", "degree"]
+    assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
+    assert rep["counters"] == {}
+
+
+def test_degree_reports_phase_timings(tmp_path, capsys):
+    src = tmp_path / "w.grid"
+    save_grid(load_fixture("t66_ns"), src)
+    code, out = run(capsys, "degree", "--grid", str(src))
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep["timings"]) == ["degree", "load"]
+    assert all(0 <= t <= rep["wall_time_s"] for t in rep["timings"].values())
+    assert rep["counters"] == {}
 
 
 def test_usage_error_exit_code(capsys):

@@ -330,29 +330,36 @@ def test_enumeration_rejects_bad_thread_counts():
 
 
 def _cubes(tri, c):
-    """Each Kempe cube of coloring c with at least two components, by the
-    multiset of the label masks outside its pair: (region, the canonical
-    keys of the other states that kempe_change sequences reach over
-    subsets of the pair's kempe_components)."""
+    """Each Kempe block of coloring c with more than one state, by name:
+    (its regions, the canonical keys of the other states that kempe_change
+    sequences reach over subsets of their kempe_components).  With
+    m = min(q, n + 1) = 4 label masks a block is a split of the colors into
+    two pairs, named by the set of its two regions; otherwise it is a
+    pair's cube, named by the multiset of the label masks outside it."""
     eng = PackedKempe(tri, c.q)
     masks = eng.label_masks(c.colors)
+    labels = range(1, len(masks) + 1)
+    key = canonical_packed(masks, tri.n)
     cubes = {}
-    for a, b in itertools.combinations(range(1, len(masks) + 1), 2):
-        comps = kempe_components(tri, c, a, b)
-        cube = tuple(sorted(m for k, m in enumerate(masks, 1)
-                            if k not in (a, b)))
-        if len(comps) < 2 or cube in cubes:
+    for a, b in itertools.combinations(labels, 2):
+        rest = tuple(k for k in labels if k not in (a, b))
+        sides = [(a, b), rest] if len(rest) == 2 else [(a, b)]
+        regions = tuple(masks[x - 1] | masks[y - 1] for x, y in sides)
+        cube = (frozenset(regions) if len(rest) == 2
+                else tuple(sorted(masks[k - 1] for k in rest)))
+        if cube in cubes:
             continue
-        members = set()
-        # swapping all k components relabels a and b, giving c again
-        for size in range(1, len(comps)):
-            for subset in itertools.combinations(comps, size):
-                c2 = c
-                for comp in subset:
-                    c2 = kempe_change(tri, c2, KempeMove(a, b, comp))
-                members.add(canonical_packed(eng.label_masks(c2.colors),
-                                             tri.n))
-        cubes[cube] = sum(comps), members
+        # swaps of distinct components commute and keep every region, so
+        # each doubles the colorings reached
+        states = [c]
+        for x, y in sides:
+            for comp in kempe_components(tri, c, x, y):
+                move = KempeMove(x, y, comp)
+                states += [kempe_change(tri, s, move) for s in states]
+        members = {canonical_packed(eng.label_masks(s.colors), tri.n)
+                   for s in states} - {key}
+        if members:
+            cubes[cube] = regions, members
     return cubes
 
 
@@ -373,11 +380,25 @@ def test_neighbor_keys_are_every_other_member_of_each_cube():
             assert set(got) == ref, (r, s, t, q)
 
 
+def test_neighbor_keys_of_a_split_with_an_empty_class():
+    # the 3-coloring at q = 4: each split pairs one color class with the
+    # empty fourth, so that side's components are the class's vertices
+    for tri in (build(6, 6, 0), build(3, 3, 0)):
+        c = Coloring(tri, 4, three_coloring(tri).colors)
+        got = PackedKempe(tri, 4).neighbor_keys(_key(tri, c))
+        ref = [ms for _, ms in _cubes(tri, c).values()]
+        assert len(ref) == 3 and len(got) == len(set(got)), tri
+        assert set(got) == set().union(*ref), tri
+        assert len(got) == sum(map(len, ref)) == 3 * (2 ** (tri.n // 3 - 1)
+                                                      - 1)
+
+
 def test_neighbor_keys_list_each_cube_member_once():
-    # a cube of k components has 2^(k-1) canonical states, this one
-    # included; two pairs share a cube only when two classes are empty
+    # a block has 2^(k-1) canonical states for each region of k
+    # components, this one included; two pairs share a cube only when
+    # two classes are empty
     rng = random.Random(41)
-    widest = 0
+    widest = both = 0
     for rst, q in itertools.product(((6, 4, 1), (9, 3, 3)), (4, 5)):
         tri = build(*rst)
         for _ in range(8):
@@ -385,17 +406,23 @@ def test_neighbor_keys_list_each_cube_member_once():
             key = _key(tri, c)
             got = PackedKempe(tri, q).neighbor_keys(key)
             assert len(got) == len(set(got)) and key not in got, (rst, q)
-            sizes = [len(components(tri, region)) for region, _ in
-                     _cubes(tri, c).values()]
-            assert len(got) == sum(2 ** (k - 1) - 1 for k in sizes)
-            widest = max([widest] + sizes)
+            cubes = _cubes(tri, c).values()
+            assert set(got) == set().union(*(ms for _, ms in cubes))
+            sizes = [[len(components(tri, region)) for region in regions]
+                     for regions, _ in cubes]
+            assert len(got) == sum(2 ** sum(k - 1 for k in ks) - 1
+                                   for ks in sizes)
+            widest = max([widest] + [k for ks in sizes for k in ks])
+            both += sum(len(ks) == 2 and min(ks) >= 2 for ks in sizes)
     assert widest >= 3
+    assert both > 0  # a split with both sides in several components
 
 
 def test_a_warm_engine_skips_exactly_the_cubes_it_expanded():
-    # the other members of one of a state's cubes share that cube with
-    # it; for every other pair they share only the pair's region, the
-    # classes outside it split another way, so the state keeps that cube
+    # the other members of one of a state's blocks share that block with
+    # it.  At q = 5 they share only the region of every other pair, the
+    # classes outside it split another way, so the state keeps that cube;
+    # at q = 4 a split's one region names it
     rng = random.Random(43)
     tested = region_shared = 0
     for tri, q in itertools.product(SMALL_TORI, (4, 5)):
@@ -416,8 +443,9 @@ def test_a_warm_engine_skips_exactly_the_cubes_it_expanded():
                 want = sorted(m for cube in kept for m in cubes[cube][1])
                 assert sorted(warm.neighbor_keys(key)) == want, (
                     tri.descriptor(), q)
-                regions = {region for region, _ in expanded.values()}
-                region_shared += sum(cubes[cube][0] in regions
+                seen = {region for regions, _ in expanded.values()
+                        for region in regions}
+                region_shared += sum(cubes[cube][0][0] in seen
                                      for cube in kept)
     assert tested == 146  # of 97 tori at each q
     assert region_shared > 0
@@ -542,12 +570,36 @@ def test_class_search_expands_each_state_once(monkeypatch):
     monkeypatch.setattr(PackedKempe, "neighbor_keys", counted)
     dec = kempe_classes(build(6, 4, 1), 4)
     assert len(expanded) == len(set(expanded)) == 3246
-    # each Kempe cube is expanded once, not one flip at a time from every
-    # member, which generates 31,208 keys
-    assert sum(keys) == dec.keys == 7297
+    # each split is expanded once, not one flip at a time from every
+    # member, which generates 31,208 keys, nor one pair's cube at a time,
+    # which generates 7,297
+    assert sum(keys) == dec.keys == 6984
     expanded.clear()
     dec = kempe_classes(build(3, 3, 0), 5)
     assert len(expanded) == len(set(expanded)) == dec.total
+
+
+def test_skipping_expanded_blocks_only_spares_work(monkeypatch):
+    # an engine whose done and last never skip expands each block again
+    # from every member, and must find the same classes
+    def classes():
+        decs = [kempe_classes(tri, 4) for tri in SMALL_TORI]
+        return ([[(c.size, c.residue, c.degree_abs_counts,
+                   c.representative.colors) for c in dec.classes]
+                 for dec in decs], sum(dec.keys for dec in decs))
+
+    want, keys = classes()
+    real = PackedKempe.neighbor_keys
+
+    def forgetful(self, key):
+        self.done.clear()
+        self.last.clear()
+        return real(self, key)
+
+    monkeypatch.setattr(PackedKempe, "neighbor_keys", forgetful)
+    got, more_keys = classes()
+    assert got == want
+    assert more_keys > keys
 
 
 def test_kempe_move_outside_universe_is_a_bug(monkeypatch):
