@@ -340,13 +340,8 @@ def extend_periodic(c: Coloring, p: int, q: int) -> Coloring:
         raise ValueError("periodic extension across a twist is not defined")
     if p < 1 or q < 1:
         raise ValueError("extension factors must be positive")
-    r, s = c.tri.r, c.tri.s
-    big = build(r * p, s * q, 0)
-    out = bytearray(big.n)
-    for v in range(big.n):
-        x, y = big.coords(v)
-        out[v] = c.colors[c.tri.vertex((x - 1) % r + 1, (y - 1) % s + 1)]
-    return Coloring(big, c.q, bytes(out))
+    big = build(c.tri.r * p, c.tri.s * q, 0)
+    return coloring_from_rows(big, [row * p for row in c.rows()] * q, c.q)
 
 
 _STRIP_ROWS = {

@@ -14,6 +14,7 @@ coloring of T(6,6) (see fixtures/t66_ns.grid) has degree +18.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coloring import Coloring, check_torus, is_proper
 from .lattice import Triangulation
@@ -59,13 +60,10 @@ def sign_table(target=(1, 2, 3)) -> list[int]:
     return table
 
 
-def _sign_bytes(target) -> bytes:
+@lru_cache(maxsize=None)
+def _sign_bytes(target: frozenset) -> bytes:
     """`sign_table(target)` as a 256-byte translation: +1 -> 1, -1 -> 2."""
     return bytes(sign % 3 for sign in sign_table(target)).ljust(256, b"\0")
-
-
-# colors 0..4, where 0 is an uncolored vertex
-_SIGN_BYTES = {tset: _sign_bytes(tset) for tset in TARGET_ORIENTATIONS}
 
 
 def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
@@ -76,8 +74,7 @@ def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
     a face containing a 0 (uncolored vertex) counts for neither, as
     partial degrees need.
     """
-    # only a bad target misses the cache, and sign_table rejects it
-    signs = _SIGN_BYTES.get(frozenset(target)) or _sign_bytes(target)
+    signs = _sign_bytes(frozenset(target))  # sign_table rejects a bad one
     if len(colors) != tri.n:
         raise ValueError(f"{len(colors)} colors given for the {tri.n} "
                          f"vertices of {tri.descriptor()}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .coloring import Coloring, check_torus
 from .lattice import Triangulation
@@ -93,14 +94,23 @@ def kempe_change(tri: Triangulation, c: Coloring, move: KempeMove) -> Coloring:
     return swap(c, move.a, move.b, [move.component])
 
 
+def color_pair(q: int, i: int) -> tuple[int, int]:
+    """The i-th pair a < b of colors 1..q in lexicographic order, found
+    without listing the pairs."""
+    # from the end, first color q - k has k pairs: the j-th pair from the
+    # end has a = q - 1 - h, h(h + 1)/2 <= j < (h + 1)(h + 2)/2
+    j = q * (q - 1) // 2 - 1 - i
+    h = (isqrt(8 * j + 1) - 1) // 2
+    return q - 1 - h, q - (j - h * (h + 1) // 2)
+
+
 def wsk_step(tri: Triangulation, c: Coloring, rng) -> Coloring:
     """One zero-temperature WSK move.
 
     Draw a color pair uniformly at random, then independently swap each
     Kempe component of that pair with probability 1/2.
     """
-    pairs = [(a, b) for a in range(1, c.q + 1) for b in range(a + 1, c.q + 1)]
-    a, b = pairs[rng.randrange(len(pairs))]
+    a, b = color_pair(c.q, rng.randrange(c.q * (c.q - 1) // 2))
     return swap(c, a, b, [comp for comp in kempe_components(tri, c, a, b)
                           if rng.random() < 0.5])
 

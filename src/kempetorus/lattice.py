@@ -25,7 +25,8 @@ vertices.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 # direction order: E, W, N, S, NE, SW
 DISPLACEMENTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
@@ -35,83 +36,80 @@ class NotSimpleError(ValueError):
     """Raised when (r,s,t) does not yield a simple 6-regular triangulation."""
 
 
+@dataclass(frozen=True)
 class Triangulation:
-    """Immutable triangulation T(r,s,t); safe to share between workers."""
+    """Frozen triangulation T(r,s,t): `neighbors` is built with it and
+    every other table on first read, and it pickles as its parameters."""
 
-    __slots__ = (
-        "r", "s", "t", "n",
-        "neighbors",        # list of 6-tuples, direction order E,W,N,S,NE,SW
-        "_neighbor_masks",  # None until `neighbor_masks` is first read
-        "_incident_edges",  # None until `incident_edges` is first read
-        "faces",            # list of vertex triples, clockwise boundary order
-        "edges",            # edge d*n + v: v to its E, N, NE neighbour, as
-                            # (u, w, apex1, apex2) with u < w
-        "face_adjacency",   # face id -> 3 (neighbour face id, shared edge id)
-    )
+    # every shift and Kempe search reads these; the tables go in __dict__
+    __slots__ = ("r", "s", "t", "n",
+                 "neighbors",  # list of 6-tuples, direction order E,W,N,S,NE,SW
+                 "__dict__")
 
-    def __init__(self, r: int, s: int, t: int):
+    r: int
+    s: int
+    t: int
+
+    def __post_init__(self):
+        r, s, t = self.r, self.s, self.t
         if r < 1 or s < 1 or not 0 <= t < max(r, 1):
             raise NotSimpleError(f"invalid parameters T({r},{s},{t})")
-        self.r, self.s, self.t = r, s, t
-        self.n = r * s
-
-        nbrs = []
-        for v in range(self.n):
-            x, y = v % r + 1, v // r + 1
-            nbrs.append(tuple(self._wrap(x + dx, y + dy)
-                              for dx, dy in DISPLACEMENTS))
+        nbrs = [tuple(self._wrap(v % r + 1 + dx, v // r + 1 + dy)
+                      for dx, dy in DISPLACEMENTS) for v in range(r * s)]
         # simplicity: no loops, no parallel edges
-        for v, row in enumerate(nbrs):
-            if v in row or len(set(row)) != 6:
-                raise NotSimpleError(
-                    f"T({r},{s},{t}) is not a simple 6-regular triangulation")
-        self.neighbors = nbrs
-        self._neighbor_masks = self._incident_edges = None
-        self.faces = [f for v, (e, _, no, _, ne, _) in enumerate(nbrs)
-                      for f in ((v, ne, e), (v, no, ne))]
+        if any(v in row or len(set(row)) != 6 for v, row in enumerate(nbrs)):
+            raise NotSimpleError(
+                f"T({r},{s},{t}) is not a simple 6-regular triangulation")
+        object.__setattr__(self, "n", r * s)
+        object.__setattr__(self, "neighbors", nbrs)
+
+    def __reduce__(self):
+        return _rebuild, (self.r, self.s, self.t)
+
+    @cached_property
+    def faces(self) -> list[tuple[int, int, int]]:
+        """Vertex triples, clockwise boundary order."""
+        return [f for v, (e, _, no, _, ne, _) in enumerate(self.neighbors)
+                for f in ((v, ne, e), (v, no, ne))]
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int, int]]:
+        """(u, w, apex1, apex2) with u < w, for each edge."""
         # an E, N or NE edge of v is flanked by apexes (NE, S), (NE, W)
         # or (E, N), the third corners of its two faces
-        self.edges = [(min(v, row[d]), max(v, row[d]), row[a1], row[a2])
-                      for d, a1, a2 in ((0, 4, 3), (2, 4, 1), (4, 0, 2))
-                      for v, row in enumerate(nbrs)]
+        return [(min(v, row[d]), max(v, row[d]), row[a1], row[a2])
+                for d, a1, a2 in ((0, 4, 3), (2, 4, 1), (4, 0, 2))
+                for v, row in enumerate(self.neighbors)]
+
+    @cached_property
+    def face_adjacency(self) -> list[tuple[tuple[int, int], ...]]:
+        """Face id -> 3 (neighbour face id, shared edge id)."""
         # up face 2v meets 2v + 1 across v's NE edge, S's down face across
         # v's E edge and E's down face across E's N edge; down face 2v + 1
         # meets W's up face across v's N edge and N's across N's E edge
         n = self.n
-        self.face_adjacency = [
-            adj for v, (e, w, no, so, _, _) in enumerate(nbrs)
-            for adj in (((2 * v + 1, 2 * n + v), (2 * so + 1, v),
-                         (2 * e + 1, n + e)),
-                        ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
+        return [adj for v, (e, w, no, so, _, _) in enumerate(self.neighbors)
+                for adj in (((2 * v + 1, 2 * n + v), (2 * so + 1, v),
+                             (2 * e + 1, n + e)),
+                            ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
 
-    @property
+    @cached_property
     def neighbor_masks(self) -> list[int]:
-        """Mask of vertex v's six neighbours, at index v.
+        """Mask of vertex v's six neighbours, at index v; n masks of n
+        bits are quadratic in n, and only Kempe component searches read
+        them."""
+        return [sum(1 << w for w in row) for row in self.neighbors]
 
-        n masks of n bits are quadratic in n, so they are built on the
-        first read, by a Kempe component search, their one reader.
-        """
-        masks = self._neighbor_masks
-        if masks is None:
-            masks = self._neighbor_masks = [sum(1 << w for w in row)
-                                            for row in self.neighbors]
-        return masks
-
-    @property
+    @cached_property
     def incident_edges(self) -> list[tuple[int, ...]]:
-        """Ids of the edges with vertex v as an end or an apex, at index v.
-
-        Recoloring v can change the class of these edges and no other;
-        built on the first read, by an NS-minimal reduction.
-        """
-        table = self._incident_edges
-        if table is None:
-            lists = [[] for _ in range(self.n)]
-            for eid, edge in enumerate(self.edges):
-                for v in edge:
-                    lists[v].append(eid)
-            table = self._incident_edges = [tuple(es) for es in lists]
-        return table
+        """Ids of the edges with vertex v as an end or an apex, at index
+        v: the edges whose class recoloring v can change, read only by
+        NS-minimal reductions."""
+        lists = [[] for _ in range(self.n)]
+        for eid, edge in enumerate(self.edges):
+            for v in edge:
+                lists[v].append(eid)
+        return [tuple(es) for es in lists]
 
     def shift(self, colors, d: int) -> bytes:
         """Byte v is the color of v's neighbour in direction d.
@@ -201,21 +199,17 @@ class Triangulation:
             "faces": [list(f) for f in self.faces],
         })
 
-    def __repr__(self):
-        return f"Triangulation({self.r},{self.s},{self.t})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Triangulation)
-                and (self.r, self.s, self.t) == (other.r, other.s, other.t))
-
-    def __hash__(self):
-        return hash((self.r, self.s, self.t))
-
 
 @lru_cache(maxsize=None)
 def build(r: int, s: int, t: int = 0) -> Triangulation:
     """Construct T(r,s,t), rejecting parameters that give loops or multi-edges."""
     return Triangulation(r, s, t)
+
+
+def _rebuild(r: int, s: int, t: int) -> Triangulation:
+    # what a torus unpickles through: pickle refers to a function by its
+    # name, and `build` stops pickling once a caller (a tracer) wraps it
+    return build(r, s, t)
 
 
 def is_three_colorable(r: int, s: int, t: int = 0) -> bool:

@@ -157,7 +157,7 @@ def _face_components(tri: Triangulation, cycles) -> bytearray:
     """
     cut = {e for cy in cycles for e in cy.edges}
     adjacency = tri.face_adjacency
-    labels = bytearray(len(tri.faces))
+    labels = bytearray(2 * tri.n)
     start = 0
     for label in (1, 2):
         labels[start] = label

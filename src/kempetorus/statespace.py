@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from .coloring import BudgetExceeded, Coloring
 from .degree import sign_table
 from .kempe import color_digits, components
-from .lattice import Triangulation, build
+from .lattice import Triangulation
 
 
 @dataclass
@@ -395,9 +395,9 @@ class PackedKempe:
         return out
 
 
-def _enum_task(rst, q, budget, collect, stripes, stripe):
+def _enum_task(tri, q, budget, collect, stripes, stripe):
     """Enumerate one of `stripes` interleaved parts of the search tree of
-    T(r,s,t), `rst` = (r, s, t), built here so a task pickles small.
+    `tri`, which pickles as its parameters, so a task pickles small.
 
     With more than one stripe, this part goes on below its own share of
     the colorings of row 0 only, and counts their nodes (see `_dfs`).
@@ -405,7 +405,6 @@ def _enum_task(rst, q, budget, collect, stripes, stripe):
     the search's signed-degree histogram; the state degrees are empty
     unless `collect`.
     """
-    tri = build(*rst)
     n = tri.n
     engine = PackedKempe(tri, q) if collect else None
     degs: dict[int, int] = {}
@@ -447,8 +446,8 @@ def enumerate_colorings(tri: Triangulation, q: int, *, budget_nodes=None,
     if tri.n > depth:
         raise ValueError(f"{tri.descriptor()} has {tri.n} vertices, more "
                          f"than the {depth} the recursive DFS can reach")
-    task = functools.partial(_enum_task, (tri.r, tri.s, tri.t), q,
-                             budget_nodes, collect, threads)
+    task = functools.partial(_enum_task, tri, q, budget_nodes, collect,
+                             threads)
     if threads > 1:
         # imported here: a one-thread run never starts a pool, and the
         # import alone costs about 0.4 MB of RSS

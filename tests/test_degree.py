@@ -104,6 +104,13 @@ def test_face_degree_counts_match_naive_oracle_on_any_labelling():
                                     for f in tri.faces)
 
 
+def test_face_degree_counts_reject_a_target_off_the_tetrahedron():
+    tri = build(3, 3, 0)
+    for target in ((1, 2, 5), (1, 2, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a triangle"):
+            face_degree_counts(tri, [1, 2, 3] * 3, target)
+
+
 def test_partial_degree_rejects_a_color_sequence_of_the_wrong_length():
     tri = build(3, 3, 0)
     for colors in ([1, 2, 3] * 3 + [4, 4, 4], [1, 2, 3]):

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +9,8 @@ from kempetorus.coloring import (Coloring, canonicalize, is_proper,
                                  three_coloring)
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
-from kempetorus.kempe import (KempeMove, kempe_change, kempe_components,
-                              swap, wsk_step)
+from kempetorus.kempe import (KempeMove, color_pair, kempe_change,
+                              kempe_components, swap, wsk_step)
 from kempetorus.lattice import build
 
 
@@ -204,3 +206,21 @@ def test_wsk_deterministic_given_seed():
             seq.append(c.colors)
         out.append(seq)
     assert out[0] == out[1]
+
+
+def test_color_pair_unranks_the_lexicographic_pairs():
+    for q in range(2, 8):
+        pairs = list(combinations(range(1, q + 1), 2))
+        assert [color_pair(q, i) for i in range(len(pairs))] == pairs, q
+
+
+def test_wsk_steps_at_a_huge_color_count_list_no_pairs():
+    # C(q, 2) is about 5e11 pairs at q = 10**6, more than memory holds
+    c = load_fixture("t66_ns")
+    c = Coloring(c.tri, 10**6, c.colors)
+    rng = random.Random(0)
+    t0 = time.perf_counter()
+    for _ in range(5):
+        c = wsk_step(c.tri, c, rng)
+        assert is_proper(c.tri, c)
+    assert time.perf_counter() - t0 < 5

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -208,17 +209,16 @@ def test_construction_leaves_out_the_neighbor_masks():
 
 def test_neighbor_masks_are_built_by_the_first_kempe_search():
     tri = Triangulation(6, 4, 1)
-    assert tri._neighbor_masks is None and tri._incident_edges is None
+    assert vars(tri) == {}
     assert components(tri, (1 << tri.n) - 1) == [(1 << tri.n) - 1]
-    assert tri._neighbor_masks == [
-        sum(1 << w for w in row) for row in tri.neighbors]
-    assert tri._incident_edges is None
+    assert vars(tri) == {"neighbor_masks": [
+        sum(1 << w for w in row) for row in tri.neighbors]}
 
 
 def test_incident_edges_are_the_edges_at_each_vertex():
     for shape in SMALL_TORI + LARGE_TORI:
         tri = Triangulation(shape.r, shape.s, shape.t)
-        assert tri._incident_edges is None
+        assert "incident_edges" not in vars(tri)
         want = [set() for _ in range(tri.n)]
         for eid, edge in enumerate(tri.edges):
             for v in edge:
@@ -228,6 +228,55 @@ def test_incident_edges_are_the_edges_at_each_vertex():
         assert all(len(es) == 12 for es in want), tri
         assert [sorted(es) for es in tri.incident_edges] == \
             [sorted(es) for es in want], tri
+
+
+TABLES = ("faces", "edges", "face_adjacency", "neighbor_masks",
+          "incident_edges")
+
+
+def test_tables_are_built_on_first_read():
+    # the formulas each table was built by when the torus built them all
+    for shape in SMALL_TORI + LARGE_TORI:
+        tri = Triangulation(shape.r, shape.s, shape.t)
+        assert not set(TABLES) & set(vars(tri)), tri
+        n, nbrs = tri.n, tri.neighbors
+        faces = [f for v, (e, _, no, _, ne, _) in enumerate(nbrs)
+                 for f in ((v, ne, e), (v, no, ne))]
+        edges = [(min(v, row[d]), max(v, row[d]), row[a1], row[a2])
+                 for d, a1, a2 in ((0, 4, 3), (2, 4, 1), (4, 0, 2))
+                 for v, row in enumerate(nbrs)]
+        adjacency = [
+            adj for v, (e, w, no, so, _, _) in enumerate(nbrs)
+            for adj in (((2 * v + 1, 2 * n + v), (2 * so + 1, v),
+                         (2 * e + 1, n + e)),
+                        ((2 * w, n + v), (2 * v, 2 * n + v), (2 * no, no)))]
+        masks = [sum(1 << w for w in row) for row in nbrs]
+        incident = [tuple(e for e, edge in enumerate(edges) if v in edge)
+                    for v in range(n)]
+        for name, want in zip(TABLES,
+                              (faces, edges, adjacency, masks, incident)):
+            assert getattr(tri, name) == want, (tri, name)
+            assert getattr(tri, name) is vars(tri)[name], (tri, name)
+
+
+def test_a_torus_is_frozen():
+    tri = build(6, 6, 0)
+    for name, value in (("t", 1), ("n", 7), ("neighbors", [])):
+        with pytest.raises(AttributeError):
+            setattr(tri, name, value)
+    assert build(6, 6, 0) is tri
+    assert (tri.descriptor(), tri.n) == ("T(6,6,0)", 36)
+    assert tri.neighbors == Triangulation(6, 6, 0).neighbors
+    assert tri == Triangulation(6, 6, 0) != Triangulation(6, 6, 1)
+    assert hash(tri) == hash(Triangulation(6, 6, 0))
+
+
+def test_a_torus_pickles_as_its_parameters():
+    tri = build(27, 27, 0)
+    tri.edges  # a table read does not grow the pickle
+    data = pickle.dumps(tri)
+    assert len(data) < 100
+    assert pickle.loads(data) is build(27, 27, 0)
 
 
 def test_parse_descriptor():

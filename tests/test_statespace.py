@@ -261,21 +261,20 @@ def test_stripes_partition_the_enumeration():
     # the one-row tori's wrapped pinned face: the stripes' states are
     # disjoint and together give the one-stripe results
     for tri in SMALL_TORI:
-        rst = (tri.r, tri.s, tri.t)
-        total, hist, nodes, degs = statespace._enum_task(rst, 4, None, True,
+        total, hist, nodes, degs = statespace._enum_task(tri, 4, None, True,
                                                          1, 0)
         for stripes in (2, 3, 4):
-            parts = [statespace._enum_task(rst, 4, None, True, stripes, k)
+            parts = [statespace._enum_task(tri, 4, None, True, stripes, k)
                      for k in range(stripes)]
-            assert sum(p[0] for p in parts) == total, (rst, stripes)
-            assert sum(p[2] for p in parts) == nodes, (rst, stripes)
+            assert sum(p[0] for p in parts) == total, (tri, stripes)
+            assert sum(p[2] for p in parts) == nodes, (tri, stripes)
             assert sum((collections.Counter(p[1]) for p in parts),
-                       collections.Counter()) == hist, (rst, stripes)
+                       collections.Counter()) == hist, (tri, stripes)
             merged = {}
             for p in parts:
-                assert not merged.keys() & p[3].keys(), (rst, stripes)
+                assert not merged.keys() & p[3].keys(), (tri, stripes)
                 merged.update(p[3])
-            assert merged == degs, (rst, stripes)
+            assert merged == degs, (tri, stripes)
 
 
 def _first_rows(tri, stripes, stripe):
@@ -749,19 +748,18 @@ def test_count_only_enumeration_matches_the_replay():
     # the subtree histograms against the leaf-by-leaf replay of `collect`,
     # whole and over 1-3 stripes, on every small torus at q = 3, 4 and 5
     for tri in SMALL_TORI:
-        rst = (tri.r, tri.s, tri.t)
         for q in (3, 4, 5):
             counted = enumerate_colorings(tri, q)
             replayed = enumerate_colorings(tri, q, collect=True)
             hist = collections.Counter(replayed.state_degrees.values())
             assert (counted.total, counted.nodes) == (
-                len(replayed.state_degrees), replayed.nodes), (rst, q)
+                len(replayed.state_degrees), replayed.nodes), (tri, q)
             if q == 4:
-                assert counted.histogram == hist, rst
+                assert counted.histogram == hist, tri
             for stripes in (1, 2, 3):
-                parts = [statespace._enum_task(rst, q, None, False, stripes,
+                parts = [statespace._enum_task(tri, q, None, False, stripes,
                                                k) for k in range(stripes)]
-                assert sum(p[0] for p in parts) == counted.total, (rst, q)
-                assert sum(p[2] for p in parts) == counted.nodes, (rst, q)
+                assert sum(p[0] for p in parts) == counted.total, (tri, q)
+                assert sum(p[2] for p in parts) == counted.nodes, (tri, q)
                 assert sum((collections.Counter(p[1]) for p in parts),
-                           collections.Counter()) == hist, (rst, q)
+                           collections.Counter()) == hist, (tri, q)
