@@ -50,9 +50,16 @@ def components(tri: Triangulation, region: int) -> list[int]:
     return comps
 
 
-@lru_cache(maxsize=None)
 def color_digits(*colors: int) -> bytes:
-    """Translation of colors to binary digits: b"1" for these, else b"0"."""
+    """Translation of colors to binary digits: b"1" for these, else b"0".
+    A color past 255 is in no byte, so it is left out of the cache key."""
+    if max(colors) > 255:
+        colors = [c for c in colors if c < 256]
+    return _digits(*colors)
+
+
+@lru_cache(maxsize=None)
+def _digits(*colors: int) -> bytes:
     return bytes(49 if i in colors else 48 for i in range(256))
 
 

@@ -1,23 +1,25 @@
 """Exhaustive enumeration of canonical proper colorings and their Kempe classes.
 
-Enumeration is depth-first backtracking over vertices in row-major order
-with forward properness checks against already-colored neighbours.  One
-orbit representative per global color permutation is generated by pinning
-the up triangle at (1,1), the first face, to colors 1,2,3 (every orbit of
-a proper coloring contains exactly one member with that face so colored);
-colors beyond 3 must first appear in ascending order, which is vacuous for
-q=4.
-At q = 4 the signed degree is maintained incrementally as faces
-complete, so the |degree| histogram costs O(1) per leaf; at any other q
-every degree is 0.  On a torus of more than three rows, rows 2..s-1 are
-searched once per coloring of the row below (and for q > 4 per number
-of colors used) and read from a table on later visits, each visit
-adding the nodes of the first search, so node counts and budgets are
-those of the full vertex-by-vertex tree.  With `collect` every stored
-row is replayed down to the leaves; count-only, each of these rows
-returns the signed-degree histogram of its whole subtree, found once
-per coloring of the row below while the first row stands (a lazy
-transfer matrix), so T(6,9)'s 299 million colorings take a second.
+Enumeration is depth-first backtracking over vertices in row-major order.
+One orbit representative per global color permutation is generated by
+pinning the up triangle at (1,1), the first face, to colors 1,2,3 (every
+orbit of a proper coloring contains exactly one member with that face so
+colored); colors beyond 3 must first appear in ascending order, which is
+vacuous for q=4.  A vertex's step, the colors it can take with the
+degree increment of the faces it completes, depends only on its earlier
+neighbours' colors and the top color allowed, so each vertex looks its
+step up in a table keyed by those and tests no color twice for one key.
+At q = 4 the steps carry the signed degree as faces complete, so the
+|degree| histogram costs O(1) per leaf; at any other q every degree is
+0.  On a torus of more than three rows, rows 2..s-1 are searched once
+per coloring of the row below (and for q > 4 per number of colors used)
+and read from a table on later visits, each visit adding the nodes of
+the first search, so node counts and budgets are those of the full
+vertex-by-vertex tree.  With `collect` every stored row is replayed down
+to the leaves; count-only, each of these rows returns the signed-degree
+histogram of its whole subtree, found once per coloring of the row below
+while the first row stands (a lazy transfer matrix), so T(6,9)'s 299
+million colorings take a second.
 
 `_dfs` is the only backtracker, and each of the `threads` pool tasks
 runs it once: a gate at the end of row 0 lets the task go on below only
@@ -50,6 +52,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .coloring import BudgetExceeded, Coloring
 from .degree import sign_table
@@ -74,6 +77,13 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     at each leaf.  Each row start has a continuation, built from the last
     row up, that colors the row and hands each coloring on to the next
     row's; the one at n is the leaf.
+
+    `search` colors one vertex at a time from its step: the (color,
+    degree increment) pairs the vertex can take, computed by `step` once
+    per key of its earlier neighbours' colors and top color hi (its pin,
+    else min(q, used_max + 1)), and held for this call in a table of its
+    own.  It charges the step's pairs, each a node of the plain search,
+    at once, and goes on below each in turn.
 
     On a torus of more than three rows, rows 2..s-1 are memoised: the
     earlier vertices adjacent to such a row are the row below and, for
@@ -115,7 +125,11 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
     # the first face, the up triangle at (1,1), is pinned to 1, 2, 3; on a
     # one-row torus its corner (2,2) wraps onto the row, not vertex r + 1
     v, ne, e = tri.faces[0]
-    pinned = {v: 1, e: 2, ne: 3}
+    pins = [0] * n
+    pins[v], pins[e], pins[ne] = 1, 2, 3
+    # vertex 0's pinned color pads each read to a tuple of at least two
+    reads = [itemgetter(*bk, *(0,) * (2 - len(bk))) for bk in back]
+    steps = [{} for _ in range(n)]
     sign = sign_table()
     nodes = arrivals = below = 0
     limit = budget if budget is not None else float("inf")
@@ -188,35 +202,38 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
                 out[k] = out.get(k, 0) + c
         return out
 
+    def step(v, hi):
+        """The (color, degree increment) pairs vertex v can take up to
+        color hi, given the colors of its earlier neighbours."""
+        taken = {colors[w] for w in back[v]}
+        out = []
+        for col in range(pins[v] or 1, hi + 1):
+            if col not in taken:
+                colors[v] = col
+                out.append((col, sum(
+                    sign[(colors[a] * 5 + colors[b]) * 5 + colors[c]]
+                    for a, b, c in faces_at[v])))
+        return tuple(out)
+
     def search(v, end, go, deg, used_max):
         """Color vertices v..end-1 in place, then go on to `go`."""
         nonlocal nodes
         if v == end:
             go(deg, used_max)
             return
-        pin = pinned.get(v)
-        if pin is not None:
-            lo = hi = pin
-        else:
-            lo, hi = 1, min(q, used_max + 1)
-        bk = back[v]
-        fs = faces_at[v]
-        for col in range(lo, hi + 1):
-            ok = True
-            for w in bk:
-                if colors[w] == col:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExceeded("nodes", budget)
+        hi = pins[v] or (q if used_max >= q else used_max + 1)
+        key = reads[v](colors), hi
+        table = steps[v]
+        pairs = table.get(key)
+        if pairs is None:
+            pairs = table[key] = step(v, hi)
+        nodes += len(pairs)
+        if nodes > limit:
+            raise BudgetExceeded("nodes", budget)
+        for col, d in pairs:
             colors[v] = col
-            d = deg
-            for a, b, c in fs:
-                d += sign[(colors[a] * 5 + colors[b]) * 5 + colors[c]]
-            search(v + 1, end, go, d, used_max if col <= used_max else col)
+            search(v + 1, end, go, deg + d,
+                   used_max if col <= used_max else col)
         colors[v] = 0
 
     def add_below(hist_of, deg, used_max):

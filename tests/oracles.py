@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code paths with the library's enumeration, degree,
-or class machinery: colorings are enumerated by plain backtracking over
-the adjacency lists, Kempe components come from a set-based flood fill
-(over neighbour lists rebuilt from the torus coordinates when the
-lattice itself is under test), edges, face adjacency and the regions of
-a cut are read off the face triples alone, and the degree census comes
-from a row-transfer matrix evaluated at roots of unity.
+or class machinery: colorings, and the enumeration's node count, come
+from plain backtracking over the adjacency lists, Kempe components come
+from a set-based flood fill (over neighbour lists rebuilt from the torus
+coordinates when the lattice itself is under test), edges, face
+adjacency and the regions of a cut are read off the face triples alone,
+and the degree census comes from a row-transfer matrix evaluated at
+roots of unity.
 """
 
 import itertools
@@ -167,6 +168,38 @@ def torus_neighbors(r, s, t):
     return [[vertex(x + dx, y + dy)
              for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
             for y in range(s) for x in range(r)]
+
+
+def plain_search_nodes(tri, q):
+    """Assignments of the pinned vertex-by-vertex search over the
+    neighbour lists of `torus_neighbors`, in row-major order.
+
+    The up triangle at (1,1), vertex 0 with its E and NE neighbours, is
+    pinned to colors 1, 2, 3, and a color past 3 may be used only once
+    every color below it has been; every proper assignment counts, a
+    leaf or not.
+    """
+    nbrs = torus_neighbors(tri.r, tri.s, tri.t)
+    n = len(nbrs)
+    back = [[w for w in nbrs[v] if w < v] for v in range(n)]
+    pins = {0: 1, nbrs[0][0]: 2, nbrs[0][4]: 3}
+    colors = [0] * n
+    nodes = 0
+
+    def rec(v, top):
+        nonlocal nodes
+        if v == n:
+            return
+        choices = [pins[v]] if v in pins else range(1, min(q, top + 1) + 1)
+        for col in choices:
+            if all(colors[w] != col for w in back[v]):
+                nodes += 1
+                colors[v] = col
+                rec(v + 1, max(top, col))
+        colors[v] = 0
+
+    rec(0, 3)
+    return nodes
 
 
 def two_color_components(neighbors, colors, a, b):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from kempetorus import kempe
 from kempetorus.coloring import (Coloring, canonicalize, is_proper,
                                  nonsingular_coloring, random_proper_coloring,
                                  three_coloring)
@@ -224,3 +225,15 @@ def test_wsk_steps_at_a_huge_color_count_list_no_pairs():
         c = wsk_step(c.tri, c, rng)
         assert is_proper(c.tri, c)
     assert time.perf_counter() - t0 < 5
+
+
+def test_wsk_steps_at_a_huge_color_count_keep_the_digit_cache_small():
+    # a pair drawn from 10**6 colors seldom has a color below 256, the
+    # only colors a Coloring's bytes can hold, and only those are cached
+    c = load_fixture("t66_ns")
+    c = Coloring(c.tri, 10**6, c.colors)
+    rng = random.Random(1)
+    before = kempe._digits.cache_info().currsize
+    for _ in range(2000):
+        c = wsk_step(c.tri, c, rng)
+    assert kempe._digits.cache_info().currsize - before <= 5

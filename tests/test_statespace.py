@@ -28,8 +28,8 @@ from kempetorus.statespace import (BudgetExceeded, PackedKempe,
 
 from oracles import (brute_force_colorings, brute_force_count,
                      brute_force_kempe_classes, canonical_abs_census,
-                     degree_histogram, first_appearance, torus_neighbors,
-                     two_color_components)
+                     degree_histogram, first_appearance, plain_search_nodes,
+                     torus_neighbors, two_color_components)
 from tori import LARGE_TORI, SMALL_TORI
 
 
@@ -237,14 +237,16 @@ def test_enumeration_budget_boundary():
     # than 0 counts the nodes above the cut against its budget too.
     # T(8,1,2), a one-row torus, is cut at its leaves; T(9,3,3) and
     # T(6,2,2) are cut before rows searched in place, and T(6,7,1)'s rows
-    # from the third on count their stored subtrees.  At q = 5 a stored
-    # row is keyed by the colors used too, and with `collect` every
-    # visit to a stored row charges the nodes of its first search
+    # from the third on count their stored subtrees.  Above q = 4 a
+    # stored row and a vertex's step are keyed by the colors used too,
+    # and with `collect` every visit to a stored row charges the nodes of
+    # its first search; the counts are `plain_search_nodes`'s
     for rst, q, collect, nodes in (
             ((6, 5, 2), 4, False, 215769), ((9, 3, 3), 4, False, 140760),
             ((6, 2, 2), 4, False, 312), ((8, 1, 2), 4, False, 9),
             ((6, 7, 1), 4, False, 23119618), ((3, 5, 2), 5, False, 11571),
-            ((3, 8, 2), 4, True, 25585), ((6, 4, 1), 4, True, 21359)):
+            ((3, 5, 2), 6, False, 134181), ((3, 8, 2), 4, True, 25585),
+            ((6, 4, 1), 4, True, 21359), ((4, 4, 1), 5, True, 17320)):
         tri = build(*rst)
         assert enumerate_colorings(tri, q, collect=collect).nodes == nodes, rst
         for threads in (1, 2, 3):
@@ -318,6 +320,19 @@ def test_enumeration_node_counts(rst, q, total, nodes):
     # by colors used
     res = enumerate_colorings(build(*rst), q)
     assert (res.total, res.nodes) == (total, nodes)
+
+
+def test_node_counts_are_the_plain_search_oracles(in_process_pool):
+    # each stored step, row and subtree charges the nodes of the plain
+    # search, count-only and with `collect`, in one stripe or two
+    for tri in SMALL_TORI:
+        for q in (3, 4, 5):
+            nodes = plain_search_nodes(tri, q)
+            for collect in (False, True):
+                for threads in (1, 2):
+                    res = enumerate_colorings(tri, q, collect=collect,
+                                              threads=threads)
+                    assert res.nodes == nodes, (tri, q, collect, threads)
 
 
 def test_enumeration_rejects_bad_thread_counts():
