@@ -57,7 +57,10 @@ def _emit_report(args, command, tri, payload, counters=None, timings=None):
 
 def cmd_build(args):
     tri = parse_descriptor(args.tri)
-    _emit_report(args, "build", tri, json.loads(tri.to_json()))
+    _emit_report(args, "build", tri, {
+        "r": tri.r, "s": tri.s, "t": tri.t,
+        "adjacency": [list(row) for row in tri.neighbors],
+        "faces": [list(f) for f in tri.faces]})
     return 0
 
 

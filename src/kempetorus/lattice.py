@@ -5,7 +5,9 @@ Vertices live on an r x s grid with coordinates (x, y), 1 <= x <= r,
 neighbours: east/west, north/south, and the two inclined ones to the
 north-east and south-west.  Horizontal wrap is plain; crossing the top
 row shifts x by the twist t (the north neighbour of (x, s) is
-(x+t mod r, 1)), and the bottom wrap shifts by -t.
+(x+t mod r, 1)), and the bottom wrap shifts by -t.  `shift` is the only
+code that states this wrap: the neighbour table is six shifts of the
+vertex ids.
 
 Each unit cell contributes two triangular faces, stored with their
 boundary in clockwise order so that degree computations have a fixed
@@ -19,14 +21,13 @@ d*n + v joins v to its east (d = 0), north (d = 1) or north-east (d = 2)
 neighbour.  `shift` reads the color of every vertex's neighbour in one
 direction at once, by slicing whole rows, so that properness, degree and
 the corners of a set of faces are byte operations with no loop over the
-vertices.
+vertices.  A torus is a value, equal, hashed and pickled by (r, s, t).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 # direction order: E, W, N, S, NE, SW
 DISPLACEMENTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
@@ -39,7 +40,8 @@ class NotSimpleError(ValueError):
 @dataclass(frozen=True)
 class Triangulation:
     """Frozen triangulation T(r,s,t): `neighbors` is built with it and
-    every other table on first read, and it pickles as its parameters."""
+    every other table on first read; it is equal, hashed and pickled by
+    its parameters."""
 
     # every shift and Kempe search reads these; the tables go in __dict__
     __slots__ = ("r", "s", "t", "n",
@@ -54,17 +56,17 @@ class Triangulation:
         r, s, t = self.r, self.s, self.t
         if r < 1 or s < 1 or not 0 <= t < max(r, 1):
             raise NotSimpleError(f"invalid parameters T({r},{s},{t})")
-        nbrs = [tuple(self._wrap(v % r + 1 + dx, v // r + 1 + dy)
-                      for dx, dy in DISPLACEMENTS) for v in range(r * s)]
+        object.__setattr__(self, "n", r * s)
+        ids = list(range(r * s))
+        nbrs = list(zip(*(self.shift(ids, d) for d in range(6))))
         # simplicity: no loops, no parallel edges
         if any(v in row or len(set(row)) != 6 for v, row in enumerate(nbrs)):
             raise NotSimpleError(
                 f"T({r},{s},{t}) is not a simple 6-regular triangulation")
-        object.__setattr__(self, "n", r * s)
         object.__setattr__(self, "neighbors", nbrs)
 
     def __reduce__(self):
-        return _rebuild, (self.r, self.s, self.t)
+        return Triangulation, (self.r, self.s, self.t)
 
     @cached_property
     def faces(self) -> list[tuple[int, int, int]]:
@@ -111,29 +113,32 @@ class Triangulation:
                 lists[v].append(eid)
         return [tuple(es) for es in lists]
 
-    def shift(self, colors, d: int) -> bytes:
-        """Byte v is the color of v's neighbour in direction d.
+    def shift(self, colors, d: int):
+        """Item v is the item of `colors` at v's neighbour in direction d.
 
-        d follows the `DISPLACEMENTS` order; `colors` holds one byte per
-        vertex.  Whole rows are read by slicing: E and W turn every row
-        by one, N and S move the rows by one and turn the row that wraps
-        round by the twist, and NE and SW are N then E and S then W.
+        d follows the `DISPLACEMENTS` order; `colors` holds one item per
+        vertex, as a list (a list comes back) or as bytes (bytes come
+        back).  This is the torus's one wrap rule: whole rows are read by
+        slicing, E and W turn every row by one, N and S move the rows by
+        one and turn the row that wraps round by the twist, and NE and SW
+        are N then E and S then W.
         """
         if d >= 4:
             return self.shift(self.shift(colors, d - 2), d - 4)
         r, n, t = self.r, self.n, self.t
+        kind = list if isinstance(colors, list) else bytearray
         if d == 0:
-            out = bytearray(colors[1:] + colors[:1])
+            out = kind(colors[1:] + colors[:1])
             out[r - 1::r] = colors[::r]  # the last column wraps to the first
         elif d == 1:
-            out = bytearray(colors[-1:] + colors[:-1])
+            out = kind(colors[-1:] + colors[:-1])
             out[::r] = colors[r - 1::r]
         elif d == 2:
             # the north neighbour of (x, s) is (x + t, 1)
             out = colors[r:] + colors[t:r] + colors[:t]
         else:
             out = colors[n - t:] + colors[n - r:n - t] + colors[:n - r]
-        return bytes(out)
+        return out if kind is list else bytes(out)
 
     def face_corners(self, up, down) -> bytes:
         """Byte v is the OR of the bytes of the faces with corner v.
@@ -148,11 +153,6 @@ class Triangulation:
                      down, shift(down, 3), shift(down, 5)):
             out |= int.from_bytes(part, "little")
         return out.to_bytes(self.n, "little")
-
-    def _wrap(self, x: int, y: int) -> int:
-        # a vertical wrap shifts x by +-t; only +-1 row steps occur here
-        qy, ry = divmod(y - 1, self.s)
-        return (x - 1 + qy * self.t) % self.r + ry * self.r
 
     def winding(self, dx: int, dy: int) -> tuple[int, int]:
         """Winding numbers (a, b) of a closed walk's total displacement.
@@ -191,25 +191,10 @@ class Triangulation:
     def descriptor(self) -> str:
         return f"T({self.r},{self.s},{self.t})"
 
-    def to_json(self) -> str:
-        """Adjacency and face tables, for debugging."""
-        return json.dumps({
-            "r": self.r, "s": self.s, "t": self.t,
-            "adjacency": [list(row) for row in self.neighbors],
-            "faces": [list(f) for f in self.faces],
-        })
 
-
-@lru_cache(maxsize=None)
 def build(r: int, s: int, t: int = 0) -> Triangulation:
     """Construct T(r,s,t), rejecting parameters that give loops or multi-edges."""
     return Triangulation(r, s, t)
-
-
-def _rebuild(r: int, s: int, t: int) -> Triangulation:
-    # what a torus unpickles through: pickle refers to a function by its
-    # name, and `build` stops pickling once a caller (a tracer) wraps it
-    return build(r, s, t)
 
 
 def is_three_colorable(r: int, s: int, t: int = 0) -> bool:

@@ -2,8 +2,8 @@
 
 An edge xy with flanking triangles xyz and xyw is singular when z and w
 receive the same color and non-singular otherwise; _classify is the only
-code that applies this rule, to every edge for classify_edges and to the
-edges at the vertices a surgery recolors for ns_minimal_reduce.  For
+code that applies this rule, to every edge (and for ns_minimal_reduce
+then to the edges at the vertices a surgery recolors).  For
 each unordered color pair {i,j}, the non-singular edges whose endpoints
 are colored i and j form N_ij, a disjoint union of cycles; every cycle
 has a homotopy type (a,b) on the torus (winding numbers along the
@@ -245,9 +245,8 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         raise ValueError("reduction expects a proper coloring")
     # every edge is classified once; a surgery re-classifies the edges it
     # can change, those with an end or apex among the recolored vertices,
-    # and the cycles of a pair are walked again only when its bucket changed
-    buckets = {pair: set(es) for pair, es in classify_edges(tri, c).items()}
-    ns = {eid: pair for pair, es in buckets.items() for eid in es}
+    # and the cycles of a pair are walked again only when its edges changed
+    ns = _classify(tri, c.colors, range(len(tri.edges)))
     walked: dict[tuple[int, int], list[NsCycle]] = {}
     incident = tri.incident_edges
     log: list[KempeMove] = []
@@ -256,8 +255,8 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         for pair in PAIRS:
             cycles = walked.get(pair)
             if cycles is None:
-                cycles = walked[pair] = _cycles(tri, pair,
-                                                sorted(buckets[pair]))
+                cycles = walked[pair] = _cycles(
+                    tri, pair, sorted(e for e, p in ns.items() if p == pair))
             contractible = [cy for cy in cycles if cy.contractible]
             if contractible:
                 surgery = contractible[:1]
@@ -285,13 +284,9 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
                 "surgery failed to strictly shrink the non-singular set: bug")
         ns.update(now)
         for eid, pair in before.items():
-            new = now.get(eid)
-            if new != pair:
-                buckets[pair].discard(eid)
+            if now.get(eid) != pair:
                 walked.pop(pair, None)
-                if new is not None:
-                    buckets[new].add(eid)
-                    walked.pop(new, None)
+                walked.pop(now.get(eid), None)
     raise AssertionError("reduction exceeded the |E| surgery bound: bug")
 
 

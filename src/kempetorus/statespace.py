@@ -164,13 +164,14 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
 
     def extensions(a, used_max):
         """The colorings of row a..a+r-1, each with its degree increment
-        and top color."""
+        and the used_max after it; a hit hands that on as it is, which
+        is exact, as below q = 5 used_max never limits a color and from
+        q = 5 on it is part of the key."""
         b = a + r
         rows = []
 
         def record(d, um):
-            row = bytes(colors[a:b])
-            rows.append((row, d, max(row)))
+            rows.append((bytes(colors[a:b]), d, um))
 
         search(a, b, record, 0, used_max)
         return rows
@@ -180,9 +181,9 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
         b = a + r
 
         def visit(deg, used_max):
-            for row, d, top in rows_of(used_max):
+            for row, d, um in rows_of(used_max):
                 colors[a:b] = row
-                go(deg + d, used_max if top <= used_max else top)
+                go(deg + d, um)
         return visit
 
     def subtree(a, rows_of, hist_of, used_max):
@@ -191,13 +192,12 @@ def _dfs(tri, q, budget, sink=None, stripes=1, stripe=0):
         the last row."""
         b = a + r
         out = {}
-        for row, d, top in rows_of(used_max):
+        for row, d, um in rows_of(used_max):
             if hist_of is None:
                 out[d] = out.get(d, 0) + 1
                 continue
             colors[a:b] = row
-            for k, c in hist_of(used_max if top <= used_max
-                                else top).items():
+            for k, c in hist_of(um).items():
                 k += d
                 out[k] = out.get(k, 0) + c
         return out

@@ -5,11 +5,12 @@ import tracemalloc
 
 import pytest
 
+from kempetorus.cli import main
 from kempetorus.kempe import components
 from kempetorus.lattice import (NotSimpleError, Triangulation, build,
                                 is_three_colorable, parse_descriptor)
 
-from oracles import face_incidence, has_three_coloring
+from oracles import face_incidence, has_three_coloring, torus_neighbors
 from tori import LARGE_TORI, SMALL_TORI
 
 
@@ -36,6 +37,20 @@ def test_counts_t452():
 def test_degenerate_parameters_rejected(r, s, t):
     with pytest.raises(NotSimpleError):
         build(r, s, t)
+
+
+def test_not_simple_exactly_where_the_oracle_has_a_loop_or_a_repeat():
+    for r in range(1, 17):
+        for s in range(1, 16 // r + 1):
+            for t in range(r):
+                rows = torus_neighbors(r, s, t)
+                simple = all(v not in row and len(set(row)) == 6
+                             for v, row in enumerate(rows))
+                if simple:
+                    build(r, s, t)
+                else:
+                    with pytest.raises(NotSimpleError):
+                        build(r, s, t)
 
 
 def test_six_distinct_neighbors_and_symmetry():
@@ -96,6 +111,10 @@ def test_shift_and_face_corners_read_the_neighbours():
     # row-slicing shift can go wrong
     rng = random.Random(3)
     for tri in SMALL_TORI + LARGE_TORI:
+        # `neighbors` is six shifts of the vertex ids, so it is checked
+        # against the table the oracle reads off the coordinates
+        assert [list(row) for row in tri.neighbors] == \
+            torus_neighbors(tri.r, tri.s, tri.t), tri
         colors = bytes(rng.choices(range(256), k=tri.n))
         for d in range(6):
             got = tri.shift(colors, d)
@@ -187,17 +206,19 @@ def test_winding_uses_the_twisted_period():
             tri.winding(dx, dy)
 
 
-def test_json_dump_roundtrips():
+def test_json_dump_roundtrips(capsys):
+    # `kempetorus build` dumps the torus's tables as JSON
     tri = build(4, 4, 1)
-    data = json.loads(tri.to_json())
-    assert data["r"] == 4 and data["s"] == 4 and data["t"] == 1
+    assert main(["build", "--tri", "T(4,4,1)"]) == 0
+    data = json.loads(capsys.readouterr().out)["payload"]
+    assert (data["r"], data["s"], data["t"]) == (4, 4, 1)
     assert data["adjacency"] == [list(row) for row in tri.neighbors]
     assert data["faces"] == [list(f) for f in tri.faces]
 
 
 def test_construction_leaves_out_the_neighbor_masks():
     # n masks of n bits would peak near 273 MB here; the rest of the
-    # torus is linear in n.  Constructed directly, as `build` caches
+    # torus is linear in n
     tracemalloc.start()
     try:
         Triangulation(200, 200, 0)
@@ -264,7 +285,7 @@ def test_a_torus_is_frozen():
     for name, value in (("t", 1), ("n", 7), ("neighbors", [])):
         with pytest.raises(AttributeError):
             setattr(tri, name, value)
-    assert build(6, 6, 0) is tri
+    assert build(6, 6, 0) == tri
     assert (tri.descriptor(), tri.n) == ("T(6,6,0)", 36)
     assert tri.neighbors == Triangulation(6, 6, 0).neighbors
     assert tri == Triangulation(6, 6, 0) != Triangulation(6, 6, 1)
@@ -276,7 +297,9 @@ def test_a_torus_pickles_as_its_parameters():
     tri.edges  # a table read does not grow the pickle
     data = pickle.dumps(tri)
     assert len(data) < 100
-    assert pickle.loads(data) is build(27, 27, 0)
+    back = pickle.loads(data)
+    assert back == build(27, 27, 0) and vars(back) == {}
+    assert back.neighbors == tri.neighbors
 
 
 def test_parse_descriptor():
