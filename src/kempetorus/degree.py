@@ -78,13 +78,18 @@ def face_degree_counts(tri: Triangulation, colors, target=(1, 2, 3)
     if len(colors) != tri.n:
         raise ValueError(f"{len(colors)} colors given for the {tri.n} "
                          f"vertices of {tri.descriptor()}")
-    if min(colors) < 0 or max(colors) > 4:
+    try:
+        colors = bytes(colors)
+        # deleting every allowed byte leaves nothing iff all are in range
+        bad = colors.translate(None, b"\0\1\2\3\4")
+    except ValueError:  # bytes() rejects an item outside 0..255
+        bad = True
+    if bad:
         raise ValueError("face colors must lie in 0..4 (0 = uncolored)")
     # v's up face is (v, NE, E) and its down face (v, N, NE): the first n
     # bytes of a, b, c are the up faces' corners, the last n the down
     # faces'.  Colors are below 5, so each face's (a*5 + b)*5 + c fits in
     # its own byte and the whole sum carries nothing between faces
-    colors = bytes(colors)
     north, north_east = tri.shift(colors, 2), tri.shift(colors, 4)
     a, b, c = (int.from_bytes(corners, "little") for corners in (
         colors * 2, north_east + north, tri.shift(colors, 0) + north_east))

@@ -148,33 +148,66 @@ def algcr(h1, h2) -> int:
     return a * d - b * cc
 
 
+def _closed_walk(tri: Triangulation, cycle: NsCycle) -> bool:
+    """Whether `cycle` is one closed walk through distinct vertices, edge
+    i joining vertices i and i + 1: a simple closed curve on the torus."""
+    vs, edges = cycle.vertices, tri.edges
+    return len(set(vs)) == len(vs) == len(cycle.edges) > 2 and all(
+        set(edges[eid][:2]) == {a, b}
+        for eid, a, b in zip(cycle.edges, vs, vs[1:] + vs[:1]))
+
+
+_SWAP_SIDES = bytes.maketrans(b"\1\2", b"\2\1")
+
+
 def _face_components(tri: Triangulation, cycles) -> bytearray:
     """Label every face 1 or 2 by its side of the cut along `cycles`.
 
     The sides are the components of the face-adjacency graph without the
-    cycles' edges, side 1 holding face 0; a cut that leaves one region,
-    or a third, is a bug.
+    cycles' edges, side 1 holding face 0.  They are flooded in turn, one
+    face each, from the two faces of the first cut edge.  One cycle that
+    is a closed walk through distinct vertices is a simple closed curve,
+    which leaves at most two regions: once either flood runs out, its
+    side is whole and every face not yet labelled lies on the other, so
+    the work is about twice the smaller side.  Two cycles flood both
+    sides to the end.  A cut that leaves one region (the floods meet), or
+    a third (a face is left unlabelled), is a bug.
     """
     cut = {e for cy in cycles for e in cy.edges}
     adjacency = tri.face_adjacency
+    first = cycles[0].edges[0]
+    d, v = divmod(first, tri.n)
+    # v's E and NE edges border its up face, its N edge its down face
+    start = 2 * v + (d == 1)
+    across = next(g for g, eid in adjacency[start] if eid == first)
     labels = bytearray(2 * tri.n)
-    start = 0
-    for label in (1, 2):
-        labels[start] = label
-        stack = [start]
-        while stack:
-            for g, eid in adjacency[stack.pop()]:
-                if not labels[g] and eid not in cut:
-                    labels[g] = label
-                    stack.append(g)
-        start = labels.find(0)
-        if start < 0:
+    labels[start], labels[across] = 1, 2
+    stacks = (None, [start], [across])
+    early = len(cycles) == 1 and _closed_walk(tri, cycles[0])
+    label = 1
+    while True:
+        stack = stacks[label]
+        for g, eid in adjacency[stack.pop()]:
+            seen = labels[g]
+            if seen != label and eid not in cut:
+                if seen:
+                    raise AssertionError(
+                        f"{len(cycles)} N_ij cycle(s) split faces into "
+                        "1 regions: bug")
+                labels[g] = label
+                stack.append(g)
+        if early and not stack:
+            labels = labels.replace(b"\0", b"\2" if label == 1 else b"\1")
             break
-    if start >= 0 or label == 1:
+        if stacks[3 - label]:
+            label = 3 - label
+        elif not stack:
+            break
+    if labels.find(0) >= 0:
         raise AssertionError(
             f"{len(cycles)} N_ij cycle(s) split faces into "
-            f"{'more than 2' if start >= 0 else 1} regions: bug")
-    return labels
+            "more than 2 regions: bug")
+    return labels if labels[0] == 1 else labels.translate(_SWAP_SIDES)
 
 
 def _sides(tri: Triangulation, cycles) -> list[tuple[int, int, int, int]]:

@@ -84,8 +84,14 @@ def test_degree_matches_naive_oracle():
             assert p - n == naive_degree(tri, partial)
     bad = bytearray(c.colors)
     bad[0] = 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must lie in 0..4"):
         face_degree_counts(tri, bad)
+    # -1 and 300 make bytes() itself fail; the message is the same
+    for color in (-1, 5, 300):
+        listed = list(c.colors)
+        listed[1] = color
+        with pytest.raises(ValueError, match="must lie in 0..4"):
+            face_degree_counts(tri, listed)
 
 
 def test_face_degree_counts_match_naive_oracle_on_any_labelling():
@@ -102,6 +108,10 @@ def test_face_degree_counts_match_naive_oracle_on_any_labelling():
                     tri, colors, target)
                 assert p + n == sum({colors[v] for v in f} == set(target)
                                     for f in tri.faces)
+                # lists and bytearrays count as the same bytes
+                for kind in (list, bytearray):
+                    assert face_degree_counts(tri, kind(colors), target) == (
+                        p, n)
 
 
 def test_face_degree_counts_reject_a_target_off_the_tetrahedron():

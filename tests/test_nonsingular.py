@@ -348,6 +348,57 @@ def test_a_cut_into_more_than_two_regions_is_a_bug():
             _surgery(tri, c, [around(f) for f in faces])
 
 
+def test_one_cycle_round_two_separate_faces_is_a_bug():
+    # not one closed walk, so both sides are flooded to the end and the
+    # third region is found
+    tri = build(27, 27, 0)
+    c = as4(three_coloring(tri))
+    edges = tuple(eid for f in (0, 700) for _, eid in tri.face_adjacency[f])
+    malformed = NsCycle((1, 2), tri.faces[0] + tri.faces[700], edges, (0, 0))
+    with pytest.raises(AssertionError,
+                       match="1 N_ij cycle\\(s\\) split faces into more than 2"):
+        _surgery(tri, c, [malformed])
+
+
+def test_one_non_contractible_cycle_leaves_one_region():
+    c = load_fixture("t66_ns")
+    cycle = all_ns_cycles(c.tri, c)[(1, 2)][0]
+    assert not cycle.contractible
+    with pytest.raises(AssertionError, match="split faces into 1 regions"):
+        _surgery(c.tri, c, [cycle])
+
+
+class _CountedReads(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_a_cut_round_one_face_floods_a_few_faces():
+    # the flood stops when the smaller side closes, in place of labelling
+    # all 1458 faces; each rotation of the walk starts it from another
+    # edge, so the one-face side is flooded first or second
+    tri = build(27, 27, 0)
+    adjacency = _CountedReads(tri.face_adjacency)
+    tri.__dict__["face_adjacency"] = adjacency
+    edge_id = {tuple(edge[:2]): eid for eid, edge in enumerate(tri.edges)}
+    for f in (0, 1, 700, 1457):
+        for k in range(3):
+            vs = tri.faces[f][k:] + tri.faces[f][:k]
+            edges = tuple(edge_id[tuple(sorted((vs[i - 1], vs[i])))]
+                          for i in (1, 2, 0))
+            adjacency.reads = 0
+            sides = _sides(tri, [NsCycle((1, 2), vs, edges, (0, 0))])
+            assert adjacency.reads <= 4, (f, k)
+            outside = (1 << tri.n) - 1 - sum(1 << v for v in vs)
+            assert sorted(sides) == [(-1, 1, f, 0),
+                                     (1, 1457, int(f == 0), outside)]
+
+
 def test_improper_or_five_color_input_raises_value_error():
     tri = build(6, 6, 0)
     ones = Coloring(tri, 4, bytes([1] * tri.n))
