@@ -145,6 +145,10 @@ def cmd_wsk(args):
     if start == "auto":
         start = "three" if tri.is_three_colorable() else "random"
     c = _start_coloring(tri, start, args.seed)
+    if args.record == "states" and c.q > 9:
+        # a WSK pair can bring in any colour up to q
+        raise ValueError("--record states writes colors 1..9 only, one digit "
+                         f"each; the start has q = {c.q}")
     rng = random.Random(args.seed)
 
     def row(step, state):

@@ -19,9 +19,9 @@ global orientation:
 Face 2v is vertex v's up triangle and face 2v+1 its down triangle.  Edge
 d*n + v joins v to its east (d = 0), north (d = 1) or north-east (d = 2)
 neighbour.  `shift` reads the color of every vertex's neighbour in one
-direction at once, by slicing whole rows, so that properness, degree and
-the corners of a set of faces are byte operations with no loop over the
-vertices.  A torus is a value, equal, hashed and pickled by (r, s, t).
+direction at once, by slicing whole rows, so that properness and degree
+are byte operations with no loop over the vertices.  A torus is a value,
+equal, hashed and pickled by (r, s, t).
 """
 
 from __future__ import annotations
@@ -139,20 +139,6 @@ class Triangulation:
         else:
             out = colors[n - t:] + colors[n - r:n - t] + colors[:n - r]
         return out if kind is list else bytes(out)
-
-    def face_corners(self, up, down) -> bytes:
-        """Byte v is the OR of the bytes of the faces with corner v.
-
-        `up` and `down` hold one byte per vertex, for its up and its down
-        face.  v is a corner of the up faces of v, W(v) and SW(v) and of
-        the down faces of v, S(v) and SW(v).
-        """
-        shift = self.shift
-        out = 0
-        for part in (up, shift(up, 1), shift(up, 5),
-                     down, shift(down, 3), shift(down, 5)):
-            out |= int.from_bytes(part, "little")
-        return out.to_bytes(self.n, "little")
 
     def winding(self, dx: int, dy: int) -> tuple[int, int]:
         """Winding numbers (a, b) of a closed walk's total displacement.

@@ -18,6 +18,8 @@ punctured torus (chi = -1), two cycles leave two cylinders (chi = 0);
 the disk, or the smaller cylinder, is swapped.  A side with I interior
 vertices and F faces, cut along cycles of B vertices in all, has B
 boundary edges and (3F - B)/2 interior ones, so chi = I + (B - F)/2.
+One face flood finds both sides (_sides): it reads the side it floods
+whole off the face triples, and the other side is the complement.
 Each surgery is a set of Kempe changes, strictly shrinks N(f), and
 never creates non-singular edges outside the previous N(f); the loop
 stops when every nonempty N_ij is a single non-contractible cycle (an
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 from .coloring import Coloring, check_torus, is_proper
 from .degree import degree
-from .kempe import KempeMove, color_digits, kempe_components, swap
+from .kempe import KempeMove, kempe_components, swap
 from .lattice import DISPLACEMENTS, Triangulation
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -157,21 +160,21 @@ def _closed_walk(tri: Triangulation, cycle: NsCycle) -> bool:
         for eid, a, b in zip(cycle.edges, vs, vs[1:] + vs[:1]))
 
 
-_SWAP_SIDES = bytes.maketrans(b"\1\2", b"\2\1")
-
-
-def _face_components(tri: Triangulation, cycles) -> bytearray:
-    """Label every face 1 or 2 by its side of the cut along `cycles`.
+def _sides(tri: Triangulation, cycles) -> list[tuple[int, int, int, int]]:
+    """(-chi, faces, least face, interior vertex mask) of both sides of
+    the cut along `cycles`, least face first.
 
     The sides are the components of the face-adjacency graph without the
-    cycles' edges, side 1 holding face 0.  They are flooded in turn, one
-    face each, from the two faces of the first cut edge.  One cycle that
-    is a closed walk through distinct vertices is a simple closed curve,
-    which leaves at most two regions: once either flood runs out, its
-    side is whole and every face not yet labelled lies on the other, so
-    the work is about twice the smaller side.  Two cycles flood both
-    sides to the end.  A cut that leaves one region (the floods meet), or
-    a third (a face is left unlabelled), is a bug.
+    cycles' edges.  They are flooded in turn, one face each, from the two
+    faces of the first cut edge, and each side's faces are recorded as
+    they are labelled.  One cycle that is a closed walk through distinct
+    vertices is a simple closed curve, which leaves at most two regions:
+    once either flood runs out, its side is whole and every other face
+    lies on the other, so the work is about twice the smaller side.  Two
+    cycles flood both sides to the end.  A cut that leaves one region
+    (the floods meet), or a third (a face is left unlabelled), is a bug.
+    The side flooded whole is read off `tri.faces`, and the other side
+    is its complement.
     """
     cut = {e for cy in cycles for e in cy.edges}
     adjacency = tri.face_adjacency
@@ -183,6 +186,7 @@ def _face_components(tri: Triangulation, cycles) -> bytearray:
     labels = bytearray(2 * tri.n)
     labels[start], labels[across] = 1, 2
     stacks = (None, [start], [across])
+    flooded = (None, [start], [across])
     early = len(cycles) == 1 and _closed_walk(tri, cycles[0])
     label = 1
     while True:
@@ -196,36 +200,30 @@ def _face_components(tri: Triangulation, cycles) -> bytearray:
                         "1 regions: bug")
                 labels[g] = label
                 stack.append(g)
-        if early and not stack:
-            labels = labels.replace(b"\0", b"\2" if label == 1 else b"\1")
+                flooded[label].append(g)
+        if not stack and (early or not stacks[3 - label]):
             break
         if stacks[3 - label]:
             label = 3 - label
-        elif not stack:
-            break
-    if labels.find(0) >= 0:
+    if not early and labels.find(0) >= 0:
         raise AssertionError(
             f"{len(cycles)} N_ij cycle(s) split faces into "
             "more than 2 regions: bug")
-    return labels if labels[0] == 1 else labels.translate(_SWAP_SIDES)
-
-
-def _sides(tri: Triangulation, cycles) -> list[tuple[int, int, int, int]]:
-    """(-chi, faces, least face, interior vertex mask) of both sides of
-    the cut along `cycles`, side 1 (the one holding face 0) first."""
-    labels = _face_components(tri, cycles)
-    # bit k - 1 of byte v is set when v is a corner of a face on side k:
-    # 3 on the cut (every boundary vertex and edge lies on both sides)
-    corners = tri.face_corners(labels[::2], labels[1::2])
-    boundary = sum(len(cy.vertices) for cy in cycles)
+    # `label`'s side is whole, and the rest is the other side
+    faces = flooded[label]
+    boundary = {v for cy in cycles for v in cy.vertices}
+    off_cut = (1 << tri.n) - 1 - sum(1 << v for v in boundary)
+    interior = sum(1 << v for v in {v for f in faces for v in tri.faces[f]}
+                   - boundary)
+    # the other side's least face ends the run of `label` opening `labels`
+    other = len(labels) - len(labels.lstrip(bytes([label])))
     sides = []
-    for k in (1, 2):
-        faces = labels.count(k)
-        chi = corners.count(k) + (boundary - faces) // 2
-        # vertex 0 is the least significant digit
-        interior = int(corners[::-1].translate(color_digits(k)), 2)
-        sides.append((-chi, faces, labels.find(k), interior))
-    return sides
+    for count, least, inside in ((len(faces), min(faces), interior),
+                                 (len(labels) - len(faces), other,
+                                  off_cut ^ interior)):
+        chi = inside.bit_count() + (len(boundary) - count) // 2
+        sides.append((-chi, count, least, inside))
+    return sorted(sides, key=itemgetter(2))
 
 
 def _surgery(tri: Triangulation, c: Coloring, cycles

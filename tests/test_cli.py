@@ -202,6 +202,24 @@ def test_wsk_states_record(tmp_path, capsys):
     assert code == 0
 
 
+def test_wsk_states_of_more_than_nine_colors_exit_2_before_any_output(
+        tmp_path, capsys):
+    # one digit a vertex: colour 11 would read as two vertices of colour 1
+    grid, csv_out = tmp_path / "q12.grid", tmp_path / "states.csv"
+    text = grid_text(load_fixture("t66_ns"))
+    grid.write_text(text.replace("T 6 6 0 4", "T 6 6 0 12", 1))
+    argv = ["wsk", "--tri", "T(6,6,0)", "--start", str(grid), "--steps", "5",
+            "--seed", "3", "--record", "states"]
+    for extra in ([], ["--out", str(csv_out)]):
+        assert main(argv + extra) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: --record states writes colors 1..9 only, one digit each; "
+            "the start has q = 12"]
+    assert not csv_out.exists()
+
+
 def test_wsk_start_must_color_the_torus(tmp_path, capsys):
     w9, t940, improper = (tmp_path / n for n in ("w9.grid", "t940.grid",
                                                   "improper.grid"))

@@ -106,7 +106,7 @@ def test_edge_table_matches_face_incidence():
             [sorted(adj) for adj in expected], tri
 
 
-def test_shift_and_face_corners_read_the_neighbours():
+def test_shift_reads_the_neighbours():
     # one-row and twisted tori included: the wrap rows are where a
     # row-slicing shift can go wrong
     rng = random.Random(3)
@@ -120,13 +120,6 @@ def test_shift_and_face_corners_read_the_neighbours():
             got = tri.shift(colors, d)
             assert got == bytes(colors[row[d]] for row in tri.neighbors), \
                 (tri, d)
-        # face 2v is v's up face and 2v + 1 its down face
-        up, down = colors, colors[::-1]
-        want = [0] * tri.n
-        for f, corners in enumerate(tri.faces):
-            for v in corners:
-                want[v] |= (down if f % 2 else up)[f // 2]
-        assert tri.face_corners(up, down) == bytes(want), tri
 
 
 def test_euler_characteristic_zero():

@@ -277,15 +277,31 @@ def _seeded_chain_ends(tri):
 
 
 CUT_TORI = [(9, 9, 0), (12, 12, 0), (15, 15, 0), (18, 18, 0), (12, 6, 3)]
+# the chain ends' two-cycle cuts, whose sides are both flooded to the
+# end, and one-cycle cuts whose disk is the larger side, which the flood
+# leaves to the complement; both kinds must stay among the checked cuts
+CUT_KINDS = {(9, 9, 0): (2, 1), (12, 12, 0): (1, 0), (15, 15, 0): (1, 0),
+             (18, 18, 0): (0, 1), (12, 6, 3): (0, 0)}
 
 
 @pytest.mark.parametrize("rst", CUT_TORI)
 def test_surgery_sides_match_the_oracle_flood(monkeypatch, rst):
     tri = build(*rst)
     ends = _seeded_chain_ends(tri)
+    kinds = [0, 0]
+    surgery = nonsingular._surgery
+
+    def counted(tri, c, cycles):
+        swapped, kept = sorted(_sides(tri, cycles))
+        kinds[0] += len(cycles) == 2
+        kinds[1] += len(cycles) == 1 and swapped[1] > kept[1]
+        return surgery(tri, c, cycles)
+
+    monkeypatch.setattr(nonsingular, "_surgery", counted)
     surgeries = sum(_reduce_with_side_checks(monkeypatch, tri, c)
                     for c in ends)
     assert surgeries >= len(ends)
+    assert tuple(kinds) == CUT_KINDS[rst]
 
 
 @pytest.mark.parametrize("rst", CUT_TORI + [(27, 27, 0)])
