@@ -2,7 +2,10 @@
 
 A Kempe component is a vertex mask, bit v being vertex v, and
 `components` is the library's one search for them: WSK steps, Kempe
-changes, NS surgeries and the class search all call it.
+changes, NS surgeries and the class search all call it.  A seed mask
+limits the search to the components that hold a seed, and only those
+are grown: an NS surgery seeds it with the interior of the side it
+swaps, usually a few faces of the torus.
 
 RNG contract: wsk_step consumes exactly one pair draw plus one coin per
 Kempe component, with components visited in least-vertex order, so a
@@ -30,23 +33,35 @@ class KempeMove:
             raise ValueError("a Kempe move needs two distinct colors")
 
 
-def components(tri: Triangulation, region: int) -> list[int]:
-    """Connected components of a vertex mask, least vertex first; each
-    grows from its least vertex, popping one vertex at a time off a to-do
-    mask and adding its neighbour mask, so every vertex is visited once."""
+def components(tri: Triangulation, region: int, seeds: int | None = None
+               ) -> list[int]:
+    """Connected components of a vertex mask, least vertex first; with
+    `seeds`, only those that hold a seed vertex.
+
+    Each grows from the least seed left (by default every vertex is a
+    seed) over the whole region, popping the highest vertex off a to-do
+    mask and adding its neighbours in the region, so every vertex of a
+    found component is visited once and no other vertex at all.  A
+    component grown from a seed may reach below it, so seeded components
+    are sorted by least vertex at the end.
+    """
     nbrs = tri.neighbor_masks
     comps = []
     rest = region
-    while rest:
+    starts = region if seeds is None else region & seeds
+    while starts:
         before = rest
-        todo = rest & -rest
+        todo = starts & -starts
         rest ^= todo
         while todo:
-            bit = todo & -todo
-            new = nbrs[bit.bit_length() - 1] & rest
+            v = todo.bit_length() - 1
+            new = nbrs[v] & rest
             rest ^= new
-            todo ^= bit | new  # new lay in rest, so never in todo
+            todo ^= 1 << v | new  # new lay in rest, so never in todo
         comps.append(before ^ rest)
+        starts &= rest
+    if seeds is not None:
+        comps.sort(key=lambda comp: comp & -comp)
     return comps
 
 
@@ -66,15 +81,16 @@ def _digits(*colors: int) -> bytes:
 _BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to bytes 0 and 1
 
 
-def kempe_components(tri: Triangulation, c: Coloring, a: int, b: int
-                     ) -> list[int]:
-    """Vertex masks of the components colored {a, b}, least vertex first."""
+def kempe_components(tri: Triangulation, c: Coloring, a: int, b: int,
+                     seeds: int | None = None) -> list[int]:
+    """Vertex masks of the components colored {a, b}, least vertex first;
+    with `seeds`, only those that hold a vertex of that mask."""
     if a == b:
         raise ValueError("colors must be distinct")
     check_torus(tri, c)
     # vertex 0 is the least significant digit
     region = int(c.colors[::-1].translate(color_digits(a, b)), 2)
-    return components(tri, region)
+    return components(tri, region, seeds)
 
 
 def swap(c: Coloring, a: int, b: int, comps) -> Coloring:

@@ -8,7 +8,8 @@ each unordered color pair {i,j}, the non-singular edges whose endpoints
 are colored i and j form N_ij, a disjoint union of cycles; every cycle
 has a homotopy type (a,b) on the torus (winding numbers along the
 periods (r,0) and (-t,s), read by Triangulation.winding) and is
-contractible iff (a,b) = (0,0).
+contractible iff (a,b) = (0,0).  _cycles sums a cycle's displacement
+as it walks it, each edge's direction read off its id.
 
 ns_minimal_reduce eliminates non-singular structure by one surgery: cut
 the faces along one contractible N_ij cycle, or along two disjoint
@@ -23,7 +24,10 @@ whole off the face triples, and the other side is the complement.
 Each surgery is a set of Kempe changes, strictly shrinks N(f), and
 never creates non-singular edges outside the previous N(f); the loop
 stops when every nonempty N_ij is a single non-contractible cycle (an
-NS-minimal coloring).
+NS-minimal coloring).  A surgery seeds the k/l component search with
+the swapped side's interior, so only the components there are grown,
+and the reduction keeps each pair's edge ids in a bucket of its own,
+updated from the edges a surgery re-classifies.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .kempe import KempeMove, kempe_components, swap
 from .lattice import DISPLACEMENTS, Triangulation
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+_STEPS = DISPLACEMENTS[::2]  # E, N, NE
 
 
 @dataclass(frozen=True)
@@ -91,28 +96,19 @@ def _sign_canonical(a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def _cycle_homotopy(tri: Triangulation, vertices) -> tuple[int, int]:
-    dx = dy = 0
-    for i, u in enumerate(vertices):
-        v = vertices[(i + 1) % len(vertices)]
-        # the six neighbours of a vertex are distinct on every simple torus
-        sx, sy = DISPLACEMENTS[tri.neighbors[u].index(v)]
-        dx += sx
-        dy += sy
-    try:
-        return _sign_canonical(*tri.winding(dx, dy))
-    except ValueError:
-        raise AssertionError(
-            "cycle displacement not a lattice period: bug") from None
-
-
 def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
-    """Walk the edges of one N_ij bucket into cycles, least start first."""
-    incident: dict[int, list[tuple[int, int]]] = {}
+    """Walk the edges of one N_ij bucket into cycles, least start first,
+    summing each cycle's displacement as it goes: edge d*n + v leaves v
+    going E, N or NE."""
+    n, table = tri.n, tri.edges
+    incident: dict[int, list[tuple[int, int, int, int]]] = {}
     for eid in edge_ids:
-        u, v = tri.edges[eid][:2]
-        incident.setdefault(u, []).append((v, eid))
-        incident.setdefault(v, []).append((u, eid))
+        d, v = divmod(eid, n)
+        u, w, _, _ = table[eid]
+        w = u + w - v  # the end other than v
+        sx, sy = _STEPS[d]
+        incident.setdefault(v, []).append((w, eid, sx, sy))
+        incident.setdefault(w, []).append((v, eid, -sx, -sy))
     for v, nb in incident.items():
         if len(nb) != 2:
             raise AssertionError(
@@ -124,19 +120,25 @@ def _cycles(tri: Triangulation, pair, edge_ids) -> list[NsCycle]:
         if start in seen:
             continue
         walk, edges = [start], []
-        seen.add(start)
         prev, cur = None, start
+        dx = dy = 0
         while True:
             a, b = incident[cur]
-            nxt, eid = a if a[0] != prev else b
+            nxt, eid, sx, sy = a if a[0] != prev else b
             edges.append(eid)
+            dx += sx
+            dy += sy
             if nxt == start:
                 break
             walk.append(nxt)
-            seen.add(nxt)
             prev, cur = cur, nxt
-        cycles.append(NsCycle(pair, tuple(walk), tuple(edges),
-                              _cycle_homotopy(tri, walk)))
+        seen.update(walk)
+        try:
+            homotopy = _sign_canonical(*tri.winding(dx, dy))
+        except ValueError:
+            raise AssertionError(
+                "cycle displacement not a lattice period: bug") from None
+        cycles.append(NsCycle(pair, tuple(walk), tuple(edges), homotopy))
     return cycles
 
 
@@ -234,7 +236,10 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
     faces, then least face index.  The interior k/l vertices split into
     whole Kempe components of the k,l subgraph (no component can cross
     the boundary, which carries neither color), so the swap is a set of
-    K-changes; they are returned as the replayable move log.
+    K-changes; they are returned as the replayable move log.  The
+    component search starts only at interior vertices but grows over
+    the whole torus, so a component that leaked out would be found
+    whole and refused.
     """
     if len({cy.homotopy for cy in cycles}) != 1:
         raise AssertionError(
@@ -248,11 +253,8 @@ def _surgery(tri: Triangulation, c: Coloring, cycles
     interior = min(sides)[3]
     k, l = [x for x in (1, 2, 3, 4) if x not in cycles[0].pair]
     moves = []
-    for comp in kempe_components(tri, c, k, l):
-        inside = comp & interior
-        if not inside:
-            continue
-        if inside != comp:
+    for comp in kempe_components(tri, c, k, l, interior):
+        if comp & interior != comp:
             raise AssertionError(
                 "Kempe component crosses a two-colored region boundary: bug")
         moves.append(KempeMove(k, l, comp))
@@ -276,8 +278,12 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         raise ValueError("reduction expects a proper coloring")
     # every edge is classified once; a surgery re-classifies the edges it
     # can change, those with an end or apex among the recolored vertices,
-    # and the cycles of a pair are walked again only when its edges changed
+    # and moves those whose pair changed between the pairs' buckets; the
+    # cycles of a pair are walked again only when its bucket changed
     ns = _classify(tri, c.colors, range(len(tri.edges)))
+    buckets: dict[tuple[int, int], set[int]] = {pair: set() for pair in PAIRS}
+    for eid, pair in ns.items():
+        buckets[pair].add(eid)
     walked: dict[tuple[int, int], list[NsCycle]] = {}
     incident = tri.incident_edges
     log: list[KempeMove] = []
@@ -286,8 +292,8 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
         for pair in PAIRS:
             cycles = walked.get(pair)
             if cycles is None:
-                cycles = walked[pair] = _cycles(
-                    tri, pair, sorted(e for e, p in ns.items() if p == pair))
+                cycles = walked[pair] = _cycles(tri, pair,
+                                                sorted(buckets[pair]))
             contractible = [cy for cy in cycles if cy.contractible]
             if contractible:
                 surgery = contractible[:1]
@@ -315,9 +321,13 @@ def ns_minimal_reduce(tri: Triangulation, c: Coloring
                 "surgery failed to strictly shrink the non-singular set: bug")
         ns.update(now)
         for eid, pair in before.items():
-            if now.get(eid) != pair:
+            new = now.get(eid)
+            if new != pair:
+                buckets[pair].remove(eid)
                 walked.pop(pair, None)
-                walked.pop(now.get(eid), None)
+                if new:
+                    buckets[new].add(eid)
+                    walked.pop(new, None)
     raise AssertionError("reduction exceeded the |E| surgery bound: bug")
 
 

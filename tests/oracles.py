@@ -6,8 +6,8 @@ from plain backtracking over the adjacency lists, Kempe components come
 from a set-based flood fill (over neighbour lists rebuilt from the torus
 coordinates when the lattice itself is under test), edges, face
 adjacency and the regions of a cut are read off the face triples alone,
-and the degree census comes from a row-transfer matrix evaluated at
-roots of unity.
+cycle windings are summed from coordinate displacements, and the degree
+census comes from a row-transfer matrix evaluated at roots of unity.
 """
 
 import itertools
@@ -168,6 +168,28 @@ def torus_neighbors(r, s, t):
     return [[vertex(x + dx, y + dy)
              for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))]
             for y in range(s) for x in range(r)]
+
+
+def cycle_winding(r, s, t, vertices):
+    """Sign-canonical winding numbers (a, b) of the closed walk through
+    `vertices` on T(r,s,t), from coordinates alone.
+
+    Each step's displacement is the one of E, W, N, S, NE, SW that
+    `torus_neighbors` maps it to; the total is a (r, 0) + b (-t, s),
+    and (a, b) is negated if its first nonzero entry is negative.
+    """
+    nbrs = torus_neighbors(r, s, t)
+    dirs = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+    dx = dy = 0
+    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+        ex, ey = dirs[nbrs[u].index(v)]
+        dx += ex
+        dy += ey
+    assert dy % s == 0, "not a closed walk"
+    b = dy // s
+    assert (dx + b * t) % r == 0, "not a closed walk"
+    a = (dx + b * t) // r
+    return (-a, -b) if (a, b) < (0, 0) else (a, b)
 
 
 def plain_search_nodes(tri, q):

@@ -9,14 +9,14 @@ from kempetorus.coloring import (Coloring, canonicalize, nonsingular_coloring,
 from kempetorus.construct import construct_deg6_symmetric
 from kempetorus.degree import degree
 from kempetorus.fixtures import load_fixture
-from kempetorus.kempe import kempe_change, wsk_step
+from kempetorus.kempe import kempe_change, kempe_components, wsk_step
 from kempetorus.lattice import NotSimpleError, build
-from kempetorus.nonsingular import (PAIRS, NsCycle, _cycle_homotopy, _cycles,
-                                    _sides, _surgery, algcr, all_ns_cycles,
+from kempetorus.nonsingular import (PAIRS, NsCycle, _cycles, _sides,
+                                    _surgery, algcr, all_ns_cycles,
                                     check_ns_minimal_structure, classify_edges,
                                     ns_minimal_reduce)
 
-from oracles import cut_sides
+from oracles import cut_sides, cycle_winding
 
 
 def as4(c):
@@ -164,6 +164,14 @@ def test_reduce_works_on_t99_witness():
     assert report["degree_mod4"] == 2
 
 
+def north_cycle_homotopy(tri, walk):
+    """Homotopy of the cycle through `walk` along N edges, as `_cycles`
+    reads it off the edge ids; edge n + v is v's N edge."""
+    (cycle,) = _cycles(tri, (1, 2), sorted(tri.n + v for v in walk))
+    assert sorted(cycle.vertices) == sorted(walk)
+    return cycle.homotopy
+
+
 def test_north_cycle_homotopy_on_twisted_tori():
     # (x, s+1) is (x+t, 1), so a straight walk north closes after r/g
     # wraps, g = gcd(r, t), with displacement (0, s r/g), which is
@@ -181,12 +189,31 @@ def test_north_cycle_homotopy_on_twisted_tori():
                     walk.append(north)
                 g = math.gcd(r, t)
                 assert len(walk) == s * r // g, tri
-                assert _cycle_homotopy(tri, walk) == (t // g, r // g), tri
+                assert north_cycle_homotopy(tri, walk) == (t // g, r // g), tri
                 twisted += 1
     assert twisted > 10
     tri = build(6, 2, 2)
     walk = [0, 6, 2, 8, 4, 10]  # three wraps, displacement (0, 6)
-    assert _cycle_homotopy(tri, walk) == (1, 3)
+    assert north_cycle_homotopy(tri, walk) == (1, 3)
+
+
+@pytest.mark.parametrize("rst", [(9, 9, 0), (12, 6, 3), (6, 7, 1), (6, 4, 1)])
+def test_cycle_homotopies_match_the_coordinate_oracle(rst):
+    # the windings summed along each walk against displacements read off
+    # the coordinates, on seeded chain ends and on random starts, whose
+    # non-contractible cycles cross the twisted period
+    tri = build(*rst)
+    starts = _seeded_chain_ends(tri) + [
+        random_proper_coloring(tri, 4, random.Random(seed))
+        for seed in range(3)]
+    kinds = set()
+    for c in starts:
+        for cycles in all_ns_cycles(tri, c).values():
+            for cy in cycles:
+                want = cycle_winding(tri.r, tri.s, tri.t, cy.vertices)
+                assert cy.homotopy == want, (rst, cy.vertices)
+                kinds.add(cy.contractible)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("rst", [(12, 6, 3), (6, 7, 1), (6, 4, 1)])
@@ -374,6 +401,26 @@ def test_one_cycle_round_two_separate_faces_is_a_bug():
     with pytest.raises(AssertionError,
                        match="1 N_ij cycle\\(s\\) split faces into more than 2"):
         _surgery(tri, c, [malformed])
+
+
+def test_a_side_that_cuts_a_kempe_component_is_a_bug(monkeypatch):
+    # the swapped side's interior only seeds the k/l component search, so
+    # a component that leaks out of it is still found and refused: each
+    # k/l component is cut by toggling its least vertex in the interior
+    tri = build(6, 6, 0)
+    c = nonsingular_coloring(tri)
+    cycles = all_ns_cycles(tri, c)[(1, 2)][:2]
+    _surgery(tri, c, cycles)  # the true sides pass
+    sides = _sides(tri, cycles)
+    swapped = min(sides)
+    for comp in kempe_components(tri, c, 3, 4):
+        assert comp.bit_count() > 1
+        cut = [side[:3] + (side[3] ^ comp & -comp,) if side == swapped
+               else side for side in sides]
+        monkeypatch.setattr(nonsingular, "_sides", lambda tri, cycles: cut)
+        with pytest.raises(AssertionError, match="Kempe component crosses "
+                           "a two-colored region boundary"):
+            _surgery(tri, c, cycles)
 
 
 def test_one_non_contractible_cycle_leaves_one_region():

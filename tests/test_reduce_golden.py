@@ -3,7 +3,9 @@
 Each case is a seeded 4-coloring; its reduced grid, Kempe move log and
 structure report are hashed together.  The digests pin which side of a
 cut is swapped (the disk, or the smaller cylinder) and the order in which
-surgeries and moves happen.
+surgeries and moves happen.  On T(27,27,0) a swapped side is a small
+part of the torus, so those cases pin the k/l component search that the
+side's interior seeds.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ def golden_cases():
         c = load_fixture(name)
         if c.q == 4:
             cases.append((name, c))
-    for L in (2, 3, 4):
+    for L in (2, 3, 4, 9):
         tri = build(3 * L, 3 * L, 0)
         starts = {"three": Coloring(tri, 4, three_coloring(tri).colors),
                   "witness": construct_deg6_symmetric(L)[0]}
@@ -87,6 +89,12 @@ GOLDEN = {
     "T(12,12,0)/witness/1": "6bf92dbd92f085aefcd79e02d197cff2b11d8809dbcf77a289b75ab831e85e4b",
     "T(12,12,0)/witness/2": "3c039268fdb7a796b88f7812ab546f0b42b5441852f80890dfe6e27db28b8606",
     "T(12,12,0)/witness/3": "ec7e4e4696a0dd47bea1d4546f4bb31aa8a3e4c782e5bc94b63db4018e78e76b",
+    "T(27,27,0)/three/1": "ed4de73781157544abfcfce9d5f1f5536dd726871fab2bf0236a793ba7158786",
+    "T(27,27,0)/three/2": "825c1939648f078f72b30ca3c1999a1c4e76519878602be86081c68c3daa7bec",
+    "T(27,27,0)/three/3": "64bdfedddf95a5b2c6190959c4ebd9cfddd472fab75d473788f592cc3b1da866",
+    "T(27,27,0)/witness/1": "d330c922c93b63b530f3579dd923f0a1294f6e582f9c845e0444f501e30283a9",
+    "T(27,27,0)/witness/2": "cd4c515dfe478aa24244f426c600b8614a6620d3cd8f70f831c8fc91f3c18761",
+    "T(27,27,0)/witness/3": "b323ca29d6969cd3104af06c3b639c8fee7a7586fd344cd8f5b8364b928c3073",
     "T(6,9,0)/random/1": "6d6f0905e295bba045a486fac5d011aeea5160901fe792b2895120c9edbb0147",
     "T(6,9,0)/random/2": "871a46325bf6c3bfcec3fa63ef87a18f330642c104795f40eaadf9dda9eefbeb",
     "T(6,9,0)/random/3": "c254c2bb86f5763c6dec692fab0d4d4b159ecf4dfbe63289a26fda271c11ee1e",

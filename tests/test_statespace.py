@@ -483,8 +483,16 @@ def test_kempe_components_match_oracle_flood():
     # twisted wrap.  Uniform random labellings need not be proper, so tori
     # without a proper 4-coloring are covered too; a pair's region then
     # holds about half the vertices, the triangular lattice's site
-    # percolation threshold, so its components come in many sizes
+    # percolation threshold, so its components come in many sizes.
+    # Seeds only start components, which still grow over the whole
+    # region: one whose least vertex is no seed keeps its least-vertex
+    # place, ahead of a component with a lower least seed
     rng = random.Random(29)
+    reordered = 0
+
+    def least(mask):
+        return mask & -mask
+
     for tri in SMALL_TORI + LARGE_TORI:
         eng = PackedKempe(tri, 4)
         nbrs = torus_neighbors(tri.r, tri.s, tri.t)
@@ -497,6 +505,17 @@ def test_kempe_components_match_oracle_flood():
                 assert components(tri, masks[a] | masks[b]) == want, (
                     tri.descriptor(), c.colors, a, b)
                 assert kempe_components(tri, c, a + 1, b + 1) == want
+                sparse = rng.getrandbits(tri.n) & rng.getrandbits(tri.n)
+                for seeds in (0, (1 << tri.n) - 1, 1 << rng.randrange(tri.n),
+                              rng.getrandbits(tri.n), sparse):
+                    seeded = [m for m in want if m & seeds]
+                    assert components(tri, masks[a] | masks[b],
+                                      seeds) == seeded, seeds
+                    assert kempe_components(tri, c, a + 1, b + 1,
+                                            seeds) == seeded
+                    by_seed = sorted(seeded, key=lambda m: least(m & seeds))
+                    reordered += by_seed != seeded
+    assert reordered > 0
 
 
 def test_packed_roundtrip_and_canonical():
